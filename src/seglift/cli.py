@@ -4,8 +4,8 @@ Datasets follow the usual odometry layout: ``<root>/sequences/<NN>/``
 holding ``velodyne/*.bin``, ``labels/*.label``, ``calib.txt``, and
 teacher maps in a parallel ``probs_2d/*.ptns`` tree (``probs_2d/cam<id>/``
 when several cameras are configured).  Every output is written atomically
-(temp file + rename) and depends only on the inputs, the config, and the
-seed, never on the parallelism degree.
+(temp file + rename) and depends only on the inputs and the config, never
+on the parallelism degree.
 
 Exit codes: 0 success, 1 typed pipeline error (message names the file and
 cause), 2 configuration or usage error.
@@ -18,24 +18,20 @@ import json
 import shlex
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import io, soup, synthetic, tta
-from .config import (
-    REFINEMENT_SCHEMES,
-    PipelineConfig,
-    override,
-    read_config,
-)
+from .config import REFINEMENT_SCHEMES, PipelineConfig, read_config
 from .core import IGNORE_ID
-from .errors import ConfigError, ToolkitError
+from .errors import ConfigError, ToolkitError, UnknownClassError
 from .evaluation import ConfusionMatrix, report
 from .projection import FovMask, lift_probs, merge_lifted, slice_cloud
 from .refinement import build_tree, refine_confidence_avg, refine_distance_weighted, refine_majority
-from .thresholding import ThresholdConfig, apply_threshold, class_thresholds, histogram, static_thresholds
+from .thresholding import apply_threshold, class_thresholds, histogram, static_thresholds
 
 # Sub-directory names inside each sequence.
 D_VELO = "velodyne"
@@ -57,259 +53,246 @@ D_AGG = "probs_agg"
 # Dataset walking
 
 
-def _sequences(root: Path) -> list[Path]:
-    base = root / "sequences"
+@dataclass(frozen=True, order=True)
+class Scan:
+    """One frame: its input sequence dir, its output sequence dir and its stem."""
+
+    seq: Path
+    out: Path
+    stem: str
+
+    @property
+    def cloud(self) -> Path:
+        return self.seq / D_VELO / f"{self.stem}.bin"
+
+    @property
+    def calib(self) -> Path:
+        return self.seq / "calib.txt"
+
+    def teacher_maps(self, cameras) -> dict[int, Path]:
+        """Teacher map per camera; ``probs_2d/cam<id>/`` only when there are several."""
+        if len(cameras) == 1:
+            return {cameras[0]: self.seq / D_PROBS2D / f"{self.stem}.ptns"}
+        return {cam: self.seq / D_PROBS2D / f"cam{cam}" / f"{self.stem}.ptns" for cam in cameras}
+
+    def output(self, subdir: str, suffix: str = ".ptns") -> Path:
+        return self.out / subdir / f"{self.stem}{suffix}"
+
+
+def _scans(root, out_root, subdir: str = D_VELO, suffix: str = ".bin") -> list[Scan]:
+    """Every frame with a `suffix` file in `subdir` of each sequence under `root`."""
+    base = Path(root) / "sequences"
     if not base.is_dir():
         raise ConfigError(f"{root}: no sequences/ directory")
     seqs = sorted(p for p in base.iterdir() if p.is_dir())
     if not seqs:
         raise ConfigError(f"{base}: no sequence directories")
-    return seqs
+    scans = []
+    for seq in seqs:
+        d = seq / subdir
+        if not d.is_dir():
+            raise ConfigError(f"{d}: missing input directory")
+        out = Path(out_root) / "sequences" / seq.name
+        scans += [Scan(seq, out, p.stem) for p in sorted(d.glob(f"*{suffix}"))]
+    return scans
 
 
-def _frames(seq_dir: Path, subdir: str, suffix: str) -> list[str]:
-    d = seq_dir / subdir
-    if not d.is_dir():
-        raise ConfigError(f"{d}: missing input directory")
-    return sorted(p.stem for p in d.glob(f"*{suffix}"))
+def _require(paths) -> None:
+    """Fail before any work starts when input files are absent, naming all of them."""
+    missing = sorted({str(p) for p in paths if not Path(p).is_file()})
+    if missing:
+        raise FileNotFoundError(f"{len(missing)} missing input file(s): {', '.join(missing)}")
 
 
-def _run_tasks(worker, tasks, jobs: int) -> list:
+def _run(fn, arg, scans: list[Scan], jobs: int) -> list:
+    """`fn(arg, scan)` for every scan, in scan order, over `jobs` processes."""
+    work = partial(fn, arg)
     if jobs <= 1:
-        return [worker(t) for t in tasks]
+        return [work(scan) for scan in scans]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
+        return list(pool.map(work, scans))
 
 
 # ---------------------------------------------------------------------------
-# Per-scan workers (module level so they pickle into worker processes)
+# Per-scan work (module level so it pickles into worker processes)
 
 
-def _lift_worker(task: dict):
-    cloud = io.read_cloud_bin(task["cloud"])
+def _lift(cfg: PipelineConfig, scan: Scan):
+    """Lift the teacher map(s) onto the cloud and write probs_3d and fov_mask.
+
+    Returns (cloud, probs, mask); the teacher maps stay local, so they are
+    freed before refinement runs.
+    """
+    cloud = io.read_cloud_bin(scan.cloud)
     lifted, masks = [], []
-    for cam in task["cameras"]:
-        prob_map = io.read_tensor(cam["probs"])
+    for cam, path in scan.teacher_maps(cfg.cameras).items():
+        prob_map = io.read_tensor(path)
         if prob_map.ndim != 3:
-            raise ConfigError(f"{cam['probs']}: teacher map must be (H, W, C)")
-        size = task["image_size"] or (prob_map.shape[1], prob_map.shape[0])
-        rig = io.read_calib(task["calib"], image_size=size, camera=cam["id"])
-        p, m = lift_probs(prob_map, cloud, rig, sampling=task["sampling"])
+            raise ConfigError(f"{path}: teacher map must be (H, W, C)")
+        size = cfg.image_size or (prob_map.shape[1], prob_map.shape[0])
+        rig = io.read_calib(scan.calib, image_size=size, camera=cam)
+        p, m = lift_probs(prob_map, cloud, rig, sampling=cfg.lift_sampling)
         lifted.append(p)
         masks.append(m)
     if len(lifted) == 1:
         probs, mask = lifted[0], masks[0]
     else:
         probs, mask = merge_lifted(lifted, masks)
-    io.write_tensor(probs.astype(np.float32), task["out_probs"])
-    io.write_tensor(mask.mask.astype(np.uint8), task["out_mask"])
-    return task["stem"]
+    io.write_tensor(probs, scan.output(D_PROBS3D))
+    io.write_tensor(mask.mask.astype(np.uint8), scan.output(D_MASK))
+    return cloud, probs, mask
 
 
-def _refine_worker(task: dict):
-    cloud = io.read_cloud_bin(task["cloud"])
-    probs = io.read_tensor(task["probs"]).astype(np.float64)
-    mask = FovMask(io.read_tensor(task["mask"]).astype(bool))
-    if len(mask) != len(cloud) or probs.shape[0] != len(cloud):
-        raise ConfigError(f"{task['probs']}: lift outputs do not match the cloud")
+def _refine(cfg: PipelineConfig, scan: Scan, cloud, probs: np.ndarray, mask: FovMask) -> np.ndarray:
+    """Refine one lifted scan, write its labels and confidences; returns the label counts."""
+    ref = cfg.refinement
+    probs = probs.astype(np.float64)
     # Sparse scans must not abort a batch: clamp k to the indexed points
     # (keeping it odd) and fall back to all-ignore when nothing is indexed.
-    limit = mask.count if task["include_self"] else mask.count - 1
+    limit = mask.count if ref.include_self else mask.count - 1
     if limit < 1:
         labels = np.zeros(len(cloud), dtype=np.uint16)
         conf = np.zeros(len(cloud), dtype=np.float32)
     else:
         tree = build_tree(cloud, mask)
-        k = min(task["k"], limit)
+        k = min(ref.k, limit)
         if k % 2 == 0:
             k -= 1
-        scheme = task["scheme"]
-        if scheme == "majority":
-            labels = refine_majority(probs, tree, k, task["include_self"], task["tie_break"])
-            conf = probs.max(axis=1)
-        elif scheme == "distance_weighted":
-            labels = refine_distance_weighted(probs, tree, k, task["include_self"])
-            conf = probs.max(axis=1)
-        else:
-            labels, refined = refine_confidence_avg(probs, tree, k, task["include_self"])
-            conf = refined.max(axis=1)
-        conf = conf.astype(np.float32)
-    io.write_labels(labels, task["out_labels"])
-    io.write_tensor(conf, task["out_conf"])
-    return task["stem"]
+        if ref.scheme == "majority":
+            labels = refine_majority(probs, tree, k, ref.include_self, ref.tie_break)
+        elif ref.scheme == "distance_weighted":
+            labels = refine_distance_weighted(probs, tree, k, ref.include_self)
+        else:  # the confidence is read from the averaged rows
+            labels, probs = refine_confidence_avg(probs, tree, k, ref.include_self)
+        conf = probs.max(axis=1).astype(np.float32)
+    io.write_labels(labels, scan.output(D_REFINED, ".label"))
+    io.write_tensor(conf, scan.output(D_CONF))
+    return np.bincount(labels)
 
 
-def _threshold_worker(task: dict):
-    labels, _ = io.read_labels(task["labels"])
-    conf = io.read_tensor(task["conf"]).astype(np.float64)
-    thresholds = np.asarray(task["thresholds"], dtype=np.float64)
+def _lift_only(cfg: PipelineConfig, scan: Scan) -> None:
+    _lift(cfg, scan)
+
+
+def _refine_stored(cfg: PipelineConfig, scan: Scan) -> np.ndarray:
+    cloud = io.read_cloud_bin(scan.cloud)
+    probs = io.read_tensor(scan.output(D_PROBS3D))
+    mask = FovMask(io.read_tensor(scan.output(D_MASK)).astype(bool))
+    if len(mask) != len(cloud) or probs.shape[0] != len(cloud):
+        raise ConfigError(f"{scan.output(D_PROBS3D)}: lift outputs do not match the cloud")
+    return _refine(cfg, scan, cloud, probs, mask)
+
+
+def _lift_refine(cfg: PipelineConfig, scan: Scan) -> np.ndarray:
+    return _refine(cfg, scan, *_lift(cfg, scan))
+
+
+def _cut(thresholds: np.ndarray, scan: Scan):
+    labels, _ = io.read_labels(scan.output(D_REFINED, ".label"))
+    conf = io.read_tensor(scan.output(D_CONF)).astype(np.float64)
     out, _ = apply_threshold(labels, conf, thresholds)
     labeled = int((labels != IGNORE_ID).sum())
     removed = labeled - int((out != IGNORE_ID).sum())
-    io.write_labels(out, task["out_labels"])
-    return task["stem"], removed, labeled
+    io.write_labels(out, scan.output(D_PSEUDO, ".label"))
+    return f"{scan.seq.name}/{scan.stem}", removed, labeled
 
 
-def _slice_worker(task: dict):
-    cloud = io.read_cloud_bin(task["cloud"])
-    mask = io.read_tensor(task["mask"]).astype(bool)
-    sliced, index_map = slice_cloud(cloud, mask)
-    io.write_cloud_bin(sliced, task["out_cloud"])
-    io.write_tensor(index_map.astype(np.uint32), task["out_index"])
-    if task.get("labels"):
-        labels, _ = io.read_labels(task["labels"])
+def _slice(masks: str | None, scan: Scan) -> None:
+    cloud = io.read_cloud_bin(scan.cloud)
+    mask_path = Path(masks) / D_MASK / f"{scan.stem}.ptns" if masks else scan.output(D_MASK)
+    sliced, index_map = slice_cloud(cloud, io.read_tensor(mask_path).astype(bool))
+    io.write_cloud_bin(sliced, scan.output(D_SLICED, ".bin"))
+    io.write_tensor(index_map.astype(np.uint32), scan.output(D_INDEX))
+    label_path = scan.seq / D_LABELS / f"{scan.stem}.label"
+    if label_path.exists():
+        labels, _ = io.read_labels(label_path)
         if labels.shape[0] != len(cloud):
-            raise ConfigError(f"{task['labels']}: label count does not match the cloud")
-        io.write_labels(labels[index_map], task["out_labels"])
-    return task["stem"]
+            raise ConfigError(f"{label_path}: label count does not match the cloud")
+        io.write_labels(labels[index_map], scan.output(D_LABELS_FOV, ".label"))
 
 
-def _tta_emit_worker(task: dict):
-    cloud = io.read_cloud_bin(task["cloud"])
-    clouds, _ = tta.emit_variants(cloud)
+def _tta_emit(_, scan: Scan) -> None:
+    clouds, _ = tta.emit_variants(io.read_cloud_bin(scan.cloud))
     for i, variant_cloud in enumerate(clouds):
-        io.write_cloud_bin(variant_cloud, task["out_dir"] / f"{task['frame']}_v{i:02d}.bin")
-    return task["stem"]
+        io.write_cloud_bin(variant_cloud, scan.output(D_TTA, f"_v{i:02d}.bin"))
 
 
-def _tta_agg_worker(task: dict):
-    tensors = [io.read_tensor(p) for p in task["inputs"]]
-    io.write_tensor(tta.aggregate_tta(tensors), task["out"])
-    return task["stem"]
+def _tta_aggregate(subdir: str, scan: Scan) -> None:
+    tensors = [io.read_tensor(scan.seq / subdir / f"{scan.stem}_v{i:02d}.ptns")
+               for i in range(len(tta.default_variants()))]
+    io.write_tensor(tta.aggregate_tta(tensors), scan.output(D_AGG))
 
 
 # ---------------------------------------------------------------------------
-# Stage drivers (shared by the individual commands and `pipeline`)
+# Stages (shared by the individual commands and `pipeline`)
 
 
-def _resolve(cfg: PipelineConfig, args, **extra) -> PipelineConfig:
-    updates = dict(
-        dataset_root=getattr(args, "dataset_root", None),
-        output_root=getattr(args, "output_root", None),
-        class_map=getattr(args, "class_map", None),
-        jobs=getattr(args, "jobs", None),
-        seed=getattr(args, "seed", None),
-    )
-    updates.update(extra)
-    return override(cfg, **updates)
+def _config(args, *required) -> PipelineConfig:
+    """The config file, if any, with the command's flags over it; validated once."""
+    def flags(*names):
+        return {name: getattr(args, name, None) for name in names}
 
-
-def _need(cfg: PipelineConfig, *fields) -> None:
-    for name in fields:
+    cfg = read_config(args.config, {
+        **flags("dataset_root", "output_root", "class_map", "jobs"),
+        "refinement": flags("scheme", "k"),
+        "threshold": flags("mode", "tau", "tau_min", "tau_max"),
+    })
+    for name in required:
         if getattr(cfg, name) in (None, ""):
             raise ConfigError(f"missing required setting {name!r} (flag or config)")
+    return cfg
 
 
-def _probs2d_path(seq_dir: Path, cfg: PipelineConfig, cam: int, stem: str) -> Path:
-    if len(cfg.cameras) == 1:
-        return seq_dir / D_PROBS2D / f"{stem}.ptns"
-    return seq_dir / D_PROBS2D / f"cam{cam}" / f"{stem}.ptns"
+def _lift_inputs(cfg: PipelineConfig) -> list[Scan]:
+    scans = _scans(cfg.dataset_root, cfg.output_root)
+    _require(p for s in scans for p in (s.calib, *s.teacher_maps(cfg.cameras).values()))
+    return scans
 
 
-def _stage_lift(cfg: PipelineConfig) -> int:
-    _need(cfg, "dataset_root", "output_root")
-    tasks = []
-    for seq_dir in _sequences(Path(cfg.dataset_root)):
-        out_seq = Path(cfg.output_root) / "sequences" / seq_dir.name
-        for stem in _frames(seq_dir, D_VELO, ".bin"):
-            tasks.append({
-                "stem": f"{seq_dir.name}/{stem}",
-                "cloud": seq_dir / D_VELO / f"{stem}.bin",
-                "calib": seq_dir / "calib.txt",
-                "cameras": [{"id": cam, "probs": _probs2d_path(seq_dir, cfg, cam, stem)}
-                            for cam in cfg.cameras],
-                "image_size": cfg.image_size,
-                "sampling": cfg.lift_sampling,
-                "out_probs": out_seq / D_PROBS3D / f"{stem}.ptns",
-                "out_mask": out_seq / D_MASK / f"{stem}.ptns",
-            })
-    _run_tasks(_lift_worker, tasks, cfg.jobs)
-    print(f"lift: {len(tasks)} scans -> {cfg.output_root}")
-    return len(tasks)
-
-
-def _stage_refine(cfg: PipelineConfig) -> int:
-    _need(cfg, "dataset_root", "output_root")
-    ref = cfg.refinement
-    if ref.k < 1 or ref.k % 2 == 0:
-        raise ConfigError(f"refinement.k must be an odd integer >= 1, got {ref.k}")
-    if ref.scheme not in REFINEMENT_SCHEMES:
-        raise ConfigError(f"unknown refinement scheme {ref.scheme!r}")
-    tasks = []
-    for seq_dir in _sequences(Path(cfg.dataset_root)):
-        out_seq = Path(cfg.output_root) / "sequences" / seq_dir.name
-        for stem in _frames(seq_dir, D_VELO, ".bin"):
-            tasks.append({
-                "stem": f"{seq_dir.name}/{stem}",
-                "cloud": seq_dir / D_VELO / f"{stem}.bin",
-                "probs": out_seq / D_PROBS3D / f"{stem}.ptns",
-                "mask": out_seq / D_MASK / f"{stem}.ptns",
-                "scheme": ref.scheme,
-                "k": ref.k,
-                "include_self": ref.include_self,
-                "tie_break": ref.tie_break,
-                "out_labels": out_seq / D_REFINED / f"{stem}.label",
-                "out_conf": out_seq / D_CONF / f"{stem}.ptns",
-            })
-    _run_tasks(_refine_worker, tasks, cfg.jobs)
-    print(f"refine[{ref.scheme}, k={ref.k}]: {len(tasks)} scans")
-    return len(tasks)
-
-
-def _stage_stats(cfg: PipelineConfig) -> np.ndarray:
-    _need(cfg, "output_root", "class_map")
-    class_map = io.read_class_map(cfg.class_map)
-    out_root = Path(cfg.output_root)
-
-    def refined_labels():
-        for seq_dir in _sequences(out_root):
-            for stem in _frames(seq_dir, D_REFINED, ".label"):
-                labels, _ = io.read_labels(seq_dir / D_REFINED / f"{stem}.label",
-                                           class_map=class_map)
-                yield labels
-
-    counts = histogram(refined_labels(), class_map.num_classes)
-    lines = "".join(f"{i},{int(c)}\n" for i, c in enumerate(counts))
-    with io.atomic_write(out_root / "histogram.csv") as fh:
-        fh.write(lines.encode())
+def _write_histogram(out_root, counts: np.ndarray) -> None:
+    with io.atomic_write(Path(out_root) / "histogram.csv") as fh:
+        fh.write("".join(f"{i},{int(c)}\n" for i, c in enumerate(counts)).encode())
     print(f"stats: histogram over {int(counts.sum())} labels -> histogram.csv")
-    return counts
 
 
-def _stage_threshold(cfg: PipelineConfig) -> None:
-    _need(cfg, "output_root", "class_map")
-    class_map = io.read_class_map(cfg.class_map)
+def _class_counts(scans: list[Scan], counts: list[np.ndarray], num_classes: int) -> np.ndarray:
+    """Sum per-scan label counts; a label outside the class map names its scan."""
+    total = np.zeros(num_classes, dtype=np.int64)
+    for scan, c in zip(scans, counts):
+        if c.size > num_classes:
+            raise UnknownClassError(f"{scan.output(D_REFINED, '.label')}: class {c.size - 1} "
+                                    f"outside map of {num_classes} classes")
+        total[:c.size] += c
+    return total
+
+
+def _threshold(cfg: PipelineConfig, scans: list[Scan], num_classes: int, counts=None) -> None:
+    """Cut the refined labels of `scans`; write thresholds.csv and reduction.csv.
+
+    Class-balanced mode uses the corpus `counts`, read from histogram.csv when not given.
+    """
     out_root = Path(cfg.output_root)
     tcfg = cfg.threshold
     if tcfg.mode == "static":
-        thresholds = static_thresholds(tcfg, class_map.num_classes)
+        thresholds = static_thresholds(tcfg, num_classes)
     else:
-        hist_path = out_root / "histogram.csv"
-        if not hist_path.exists():
-            raise ConfigError(f"{hist_path}: run `seglift stats` first (class-balanced mode)")
-        counts = _read_histogram_csv(hist_path, class_map.num_classes)
+        if counts is None:
+            hist_path = out_root / "histogram.csv"
+            if not hist_path.exists():
+                raise ConfigError(f"{hist_path}: run `seglift stats` first (class-balanced mode)")
+            counts = _read_histogram_csv(hist_path, num_classes)
         thresholds = class_thresholds(counts, tcfg)
     with io.atomic_write(out_root / "thresholds.csv") as fh:
         fh.write("".join(f"{i},{t:.12f}\n" for i, t in enumerate(thresholds)).encode())
 
-    tasks = []
-    for seq_dir in _sequences(out_root):
-        for stem in _frames(seq_dir, D_REFINED, ".label"):
-            tasks.append({
-                "stem": f"{seq_dir.name}/{stem}",
-                "labels": seq_dir / D_REFINED / f"{stem}.label",
-                "conf": seq_dir / D_CONF / f"{stem}.ptns",
-                "thresholds": thresholds.tolist(),
-                "out_labels": seq_dir / D_PSEUDO / f"{stem}.label",
-            })
-    results = _run_tasks(_threshold_worker, tasks, cfg.jobs)
+    results = _run(_cut, thresholds, scans, cfg.jobs)
     removed = sum(r for _, r, _ in results)
     labeled = sum(n for _, _, n in results)
+    frac = removed / labeled if labeled else 0.0
     lines = [f"{stem},{r},{n},{r / n if n else 0.0:.6f}" for stem, r, n in results]
-    lines.append(f"total,{removed},{labeled},{removed / labeled if labeled else 0.0:.6f}")
+    lines.append(f"total,{removed},{labeled},{frac:.6f}")
     with io.atomic_write(out_root / "reduction.csv") as fh:
         fh.write(("\n".join(lines) + "\n").encode())
-    frac = removed / labeled if labeled else 0.0
     print(f"threshold[{tcfg.mode}]: removed {removed}/{labeled} labels ({frac:.2%})")
 
 
@@ -347,71 +330,44 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _base_config(args) -> PipelineConfig:
-    cfg = read_config(args.config) if args.config else PipelineConfig()
-    return _resolve(cfg, args)
-
-
 def cmd_lift(args) -> int:
-    _stage_lift(_base_config(args))
+    cfg = _config(args, "dataset_root", "output_root")
+    scans = _lift_inputs(cfg)
+    _run(_lift_only, cfg, scans, cfg.jobs)
+    print(f"lift: {len(scans)} scans -> {cfg.output_root}")
     return 0
 
 
 def cmd_refine(args) -> int:
-    cfg = _base_config(args)
-    if args.scheme or args.k:
-        ref = cfg.refinement
-        if args.scheme:
-            ref = replace(ref, scheme=args.scheme)
-        if args.k:
-            ref = replace(ref, k=args.k)
-        cfg = override(cfg, refinement=ref)
-    _stage_refine(cfg)
+    cfg = _config(args, "dataset_root", "output_root")
+    scans = _scans(cfg.dataset_root, cfg.output_root)
+    _require(p for s in scans for p in (s.output(D_PROBS3D), s.output(D_MASK)))
+    _run(_refine_stored, cfg, scans, cfg.jobs)
+    print(f"refine[{cfg.refinement.scheme}, k={cfg.refinement.k}]: {len(scans)} scans")
     return 0
 
 
 def cmd_stats(args) -> int:
-    _stage_stats(_base_config(args))
+    cfg = _config(args, "output_root", "class_map")
+    class_map = io.read_class_map(cfg.class_map)
+    scans = _scans(cfg.output_root, cfg.output_root, D_REFINED, ".label")
+    labels = (io.read_labels(s.output(D_REFINED, ".label"), class_map=class_map)[0] for s in scans)
+    _write_histogram(cfg.output_root, histogram(labels, class_map.num_classes))
     return 0
 
 
 def cmd_threshold(args) -> int:
-    cfg = _base_config(args)
-    if args.mode:
-        if args.mode == "static":
-            if args.tau is None:
-                raise ConfigError("static mode needs --tau")
-            cfg = override(cfg, threshold=ThresholdConfig.static(args.tau))
-        else:
-            tau_min = args.tau_min if args.tau_min is not None else cfg.threshold.tau_min
-            tau_max = args.tau_max if args.tau_max is not None else cfg.threshold.tau_max
-            cfg = override(cfg, threshold=ThresholdConfig(tau_min, tau_max, "class_balanced"))
-    elif args.tau is not None or args.tau_min is not None or args.tau_max is not None:
-        raise ConfigError("--tau/--tau-min/--tau-max need an explicit --mode")
-    _stage_threshold(cfg)
+    cfg = _config(args, "output_root", "class_map")
+    num_classes = io.read_class_map(cfg.class_map).num_classes
+    _threshold(cfg, _scans(cfg.output_root, cfg.output_root, D_REFINED, ".label"), num_classes)
     return 0
 
 
 def cmd_slice(args) -> int:
-    cfg = _base_config(args)
-    _need(cfg, "dataset_root", "output_root")
-    tasks = []
-    for seq_dir in _sequences(Path(cfg.dataset_root)):
-        out_seq = Path(cfg.output_root) / "sequences" / seq_dir.name
-        mask_root = Path(args.masks) if args.masks else out_seq
-        for stem in _frames(seq_dir, D_VELO, ".bin"):
-            label_path = seq_dir / D_LABELS / f"{stem}.label"
-            tasks.append({
-                "stem": f"{seq_dir.name}/{stem}",
-                "cloud": seq_dir / D_VELO / f"{stem}.bin",
-                "mask": mask_root / D_MASK / f"{stem}.ptns",
-                "labels": label_path if label_path.exists() else None,
-                "out_cloud": out_seq / D_SLICED / f"{stem}.bin",
-                "out_labels": out_seq / D_LABELS_FOV / f"{stem}.label",
-                "out_index": out_seq / D_INDEX / f"{stem}.ptns",
-            })
-    _run_tasks(_slice_worker, tasks, cfg.jobs)
-    print(f"slice: {len(tasks)} scans -> {cfg.output_root}")
+    cfg = _config(args, "dataset_root", "output_root")
+    scans = _scans(cfg.dataset_root, cfg.output_root)
+    _run(_slice, args.masks, scans, cfg.jobs)
+    print(f"slice: {len(scans)} scans -> {cfg.output_root}")
     return 0
 
 
@@ -439,39 +395,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_tta(args) -> int:
-    cfg = _base_config(args)
-    _need(cfg, "dataset_root", "output_root")
-    tasks = []
+    cfg = _config(args, "dataset_root", "output_root")
     if args.action == "emit":
-        for seq_dir in _sequences(Path(cfg.dataset_root)):
-            out_seq = Path(cfg.output_root) / "sequences" / seq_dir.name
-            for stem in _frames(seq_dir, D_VELO, ".bin"):
-                tasks.append({
-                    "stem": f"{seq_dir.name}/{stem}",
-                    "frame": stem,
-                    "cloud": seq_dir / D_VELO / f"{stem}.bin",
-                    "out_dir": out_seq / D_TTA,
-                })
-        _run_tasks(_tta_emit_worker, tasks, cfg.jobs)
+        scans = _scans(cfg.dataset_root, cfg.output_root)
+        _run(_tta_emit, None, scans, cfg.jobs)
         manifest = [v.manifest_entry() for v in tta.default_variants()]
         with io.atomic_write(Path(cfg.output_root) / "tta_manifest.json") as fh:
             fh.write(json.dumps(manifest, indent=2).encode())
-    else:  # aggregate
-        n_variants = len(tta.default_variants())
-        for seq_dir in _sequences(Path(cfg.dataset_root)):
-            out_seq = Path(cfg.output_root) / "sequences" / seq_dir.name
-            probs_dir = seq_dir / args.probs_subdir
-            stems = sorted({p.stem.rsplit("_v", 1)[0] for p in probs_dir.glob("*_v*.ptns")})
-            if not stems:
-                raise ConfigError(f"{probs_dir}: no per-variant tensors (<stem>_vNN.ptns)")
-            for stem in stems:
-                tasks.append({
-                    "stem": f"{seq_dir.name}/{stem}",
-                    "inputs": [probs_dir / f"{stem}_v{i:02d}.ptns" for i in range(n_variants)],
-                    "out": out_seq / D_AGG / f"{stem}.ptns",
-                })
-        _run_tasks(_tta_agg_worker, tasks, cfg.jobs)
-    print(f"tta {args.action}: {len(tasks)} scans")
+    else:  # aggregate: one scan per stem with <stem>_vNN.ptns tensors
+        files = _scans(cfg.dataset_root, cfg.output_root, args.probs_subdir, ".ptns")
+        scans = sorted({replace(f, stem=f.stem.rsplit("_v", 1)[0]) for f in files if "_v" in f.stem})
+        if not scans:
+            raise ConfigError(f"{args.probs_subdir}: no per-variant tensors (<stem>_vNN.ptns)")
+        _run(_tta_aggregate, args.probs_subdir, scans, cfg.jobs)
+    print(f"tta {args.action}: {len(scans)} scans")
     return 0
 
 
@@ -487,13 +424,16 @@ def cmd_soup(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    cfg = _base_config(args)
-    _need(cfg, "dataset_root", "output_root", "class_map")
-    _stage_lift(cfg)
-    _stage_refine(cfg)
+    """Lift and refine each scan in one pass, then cut the run's own scans."""
+    cfg = _config(args, "dataset_root", "output_root", "class_map")
+    num_classes = io.read_class_map(cfg.class_map).num_classes
+    scans = _lift_inputs(cfg)
+    counts = _class_counts(scans, _run(_lift_refine, cfg, scans, cfg.jobs), num_classes)
+    print(f"lift: {len(scans)} scans -> {cfg.output_root}")
+    print(f"refine[{cfg.refinement.scheme}, k={cfg.refinement.k}]: {len(scans)} scans")
     if cfg.threshold.mode == "class_balanced":
-        _stage_stats(cfg)
-    _stage_threshold(cfg)
+        _write_histogram(cfg.output_root, counts)
+    _threshold(cfg, scans, num_classes, counts)
     print(f"pipeline: pseudo-labels in {cfg.output_root}")
     return 0
 
@@ -502,15 +442,13 @@ def cmd_pipeline(args) -> int:
 # Argument parsing
 
 
-def _add_common(sp, dataset=True, output=True):
+def _add_common(sp, dataset=True):
     sp.add_argument("--config", help="JSON pipeline config")
     if dataset:
         sp.add_argument("--dataset-root", help="input dataset root (sequences/ layout)")
-    if output:
-        sp.add_argument("--output-root", help="output root")
+    sp.add_argument("--output-root", help="output root")
     sp.add_argument("--class-map", help="class map CSV")
     sp.add_argument("--jobs", type=int, help="worker processes (default 1)")
-    sp.add_argument("--seed", type=int, help="base seed")
 
 
 def build_parser() -> argparse.ArgumentParser:

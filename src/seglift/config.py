@@ -1,22 +1,23 @@
 """Pipeline configuration: strict JSON with unknown keys rejected.
 
 Flag values passed on the command line override config-file values,
-which override the built-in defaults.  All paths are resolved against
-the config file's directory before any work starts.
+which override the built-in defaults; both pass the same validation.
+Paths in the config file are resolved against the file's directory
+before any work starts.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .projection import SAMPLING_MODES
+from .refinement import TIE_BREAKS
 from .thresholding import THRESHOLD_MODES, ThresholdConfig
 
 REFINEMENT_SCHEMES = ("majority", "distance_weighted", "confidence_avg")
-LIFT_SAMPLING = ("nearest", "bilinear")
-TIE_BREAKS = ("lowest", "keep")
 
 
 @dataclass(frozen=True)
@@ -28,24 +29,15 @@ class RefinementConfig:
 
 
 @dataclass(frozen=True)
-class AugmentationConfig:
-    jitter_range_m: float = 0.5
-    squeeze_range: tuple[float, float] = (0.9, 1.1)
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     dataset_root: str | None = None
     output_root: str | None = None
     class_map: str | None = None
-    remap: str | None = None
     cameras: tuple[int, ...] = (2,)
     image_size: tuple[int, int] | None = None
     lift_sampling: str = "nearest"
     refinement: RefinementConfig = field(default_factory=RefinementConfig)
     threshold: ThresholdConfig = field(default_factory=lambda: ThresholdConfig(0.8, 0.95))
-    augmentation: AugmentationConfig = field(default_factory=AugmentationConfig)
-    seed: int = 0
     jobs: int = 1
 
 
@@ -107,27 +99,29 @@ def _parse_refinement(raw: dict) -> RefinementConfig:
     return RefinementConfig(**vals)
 
 
-def _parse_augmentation(raw: dict) -> AugmentationConfig:
-    vals = _take(raw, "augmentation", {
-        "jitter_range_m": ((int, float), lambda v: v >= 0, "must be >= 0"),
-        "squeeze_range": (list, lambda v: len(v) == 2 and 0 < v[0] <= v[1], "must be [low, high] with 0 < low <= high"),
-    })
-    if "squeeze_range" in vals:
-        vals["squeeze_range"] = tuple(float(x) for x in vals["squeeze_range"])
-    if "jitter_range_m" in vals:
-        vals["jitter_range_m"] = float(vals["jitter_range_m"])
-    return AugmentationConfig(**vals)
+def _merge(raw: dict, flags: dict) -> None:
+    """Lay non-None flag values over `raw`; a section maps to a dict of its flags."""
+    for name, value in flags.items():
+        if isinstance(value, dict):
+            section = raw.get(name, {})
+            _expect(isinstance(section, dict), f"{name}: must be a JSON object")
+            raw[name] = {**section, **{k: v for k, v in value.items() if v is not None}}
+        elif value is not None:
+            raw[name] = value
 
 
-def parse_config(raw: dict, base_dir: Path | None = None) -> PipelineConfig:
-    """Validate a config dict; `base_dir` anchors relative paths."""
+def parse_config(raw: dict, base_dir: Path | None = None, flags: dict | None = None) -> PipelineConfig:
+    """Validate a config dict with `flags` merged over it; `base_dir` anchors its relative paths."""
     _expect(isinstance(raw, dict), "config root must be a JSON object")
     raw = dict(raw)
+    if base_dir is not None:
+        for key in ("dataset_root", "output_root", "class_map"):
+            if isinstance(raw.get(key), str):
+                raw[key] = str((base_dir / raw[key]).resolve())
+    _merge(raw, flags or {})
 
     sections = {}
-    for name, parser in (("threshold", _parse_threshold),
-                         ("refinement", _parse_refinement),
-                         ("augmentation", _parse_augmentation)):
+    for name, parser in (("threshold", _parse_threshold), ("refinement", _parse_refinement)):
         if name in raw:
             section = raw.pop(name)
             _expect(isinstance(section, dict), f"{name}: must be a JSON object")
@@ -137,27 +131,22 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> PipelineConfig:
         "dataset_root": (str, None, ""),
         "output_root": (str, None, ""),
         "class_map": (str, None, ""),
-        "remap": (str, None, ""),
         "cameras": (list, lambda v: bool(v) and all(isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in v), "must be a non-empty list of camera ids"),
         "image_size": (list, lambda v: len(v) == 2 and all(isinstance(x, int) and x > 0 for x in v), "must be [width, height] of positive ints"),
-        "lift_sampling": (str, lambda v: v in LIFT_SAMPLING, f"must be one of {LIFT_SAMPLING}"),
-        "seed": (int, lambda v: v >= 0, "must be >= 0"),
+        "lift_sampling": (str, lambda v: v in SAMPLING_MODES, f"must be one of {SAMPLING_MODES}"),
         "jobs": (int, lambda v: v >= 1, "must be >= 1"),
     })
     if "cameras" in vals:
         vals["cameras"] = tuple(vals["cameras"])
     if "image_size" in vals:
         vals["image_size"] = tuple(vals["image_size"])
-    if base_dir is not None:
-        for key in ("dataset_root", "output_root", "class_map", "remap"):
-            if key in vals:
-                vals[key] = str((base_dir / vals[key]).resolve())
-
     return PipelineConfig(**vals, **sections)
 
 
-def read_config(path) -> PipelineConfig:
-    """Load and validate a JSON config file."""
+def read_config(path=None, flags: dict | None = None) -> PipelineConfig:
+    """Load and validate a JSON config file (defaults when `path` is None), with `flags` over it."""
+    if path is None:
+        return parse_config({}, flags=flags)
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -166,12 +155,6 @@ def read_config(path) -> PipelineConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     try:
-        return parse_config(raw, base_dir=path.parent)
+        return parse_config(raw, base_dir=path.parent, flags=flags)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def override(cfg: PipelineConfig, **updates) -> PipelineConfig:
-    """Apply non-None keyword overrides onto a config."""
-    clean = {k: v for k, v in updates.items() if v is not None}
-    return replace(cfg, **clean) if clean else cfg

@@ -38,6 +38,10 @@ class DimMismatch(ToolkitError):
     """Tensor dimensions do not match what the operation requires."""
 
 
+class NonFiniteValue(ToolkitError):
+    """A value that must be finite is NaN or infinite."""
+
+
 class UnknownClassError(ToolkitError):
     """A label value falls outside the configured class map."""
 

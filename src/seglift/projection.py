@@ -76,11 +76,13 @@ def project_points(cloud: PointCloud, rig: CalibrationRig):
     return u, v, depth
 
 
+def _in_view(u: np.ndarray, v: np.ndarray, depth: np.ndarray, rig: CalibrationRig) -> FovMask:
+    return FovMask((depth > 0.0) & (u >= 0.0) & (u < rig.width) & (v >= 0.0) & (v < rig.height))
+
+
 def fov_mask(cloud: PointCloud, rig: CalibrationRig) -> FovMask:
     """True where depth > 0 and the pixel lands inside [0, W) x [0, H)."""
-    u, v, depth = project_points(cloud, rig)
-    inside = (depth > 0.0) & (u >= 0.0) & (u < rig.width) & (v >= 0.0) & (v < rig.height)
-    return FovMask(inside)
+    return _in_view(*project_points(cloud, rig), rig)
 
 
 def slice_cloud(cloud: PointCloud, mask):
@@ -121,8 +123,7 @@ def lift_probs(prob_map: np.ndarray, cloud: PointCloud, rig: CalibrationRig,
         raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
 
     u, v, depth = project_points(cloud, rig)
-    inside = (depth > 0.0) & (u >= 0.0) & (u < rig.width) & (v >= 0.0) & (v < rig.height)
-    mask = FovMask(inside)
+    mask = _in_view(u, v, depth, rig)
 
     probs = np.zeros((len(cloud), prob_map.shape[2]), dtype=np.float32)
     idx = mask.index_map

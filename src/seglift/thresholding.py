@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IGNORE_ID
-from .errors import EmptyHistogram, SizeMismatch, UnknownClassError
+from .errors import EmptyHistogram, NonFiniteValue, SizeMismatch, UnknownClassError
 
 THRESHOLD_MODES = ("static", "class_balanced")
 
@@ -89,12 +89,17 @@ def apply_threshold(labels: np.ndarray, confidences: np.ndarray, thresholds: np.
     Removal is strict less-than: a confidence exactly equal to the
     threshold is kept.  Returns (labels, reduction) where reduction is the
     removed fraction of points that carried a label before the cut.
+    Raises NonFiniteValue on a NaN or infinite confidence: NaN compares
+    false with every threshold, so its label would silently survive.
     """
     labels = np.asarray(labels)
     confidences = np.asarray(confidences, dtype=np.float64)
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if labels.shape != confidences.shape:
         raise SizeMismatch(f"{labels.shape} labels vs {confidences.shape} confidences")
+    if not np.isfinite(confidences).all():
+        bad = int(np.flatnonzero(~np.isfinite(confidences))[0])
+        raise NonFiniteValue(f"confidence {confidences[bad]} at point {bad} is not finite")
     if labels.size and int(labels.max()) >= thresholds.shape[0]:
         raise UnknownClassError(
             f"label {int(labels.max())} outside {thresholds.shape[0]} thresholds"

@@ -1,9 +1,7 @@
 """Deterministic geometric ops on point clouds.
 
 Every op is a pure function returning a new cloud; intensity and point
-order are preserved (sector_mix reorders across the two clouds but keeps
-each source's internal order).  Seeded ops take one explicit 64-bit seed
-per call; there is no global RNG state.
+order are preserved.
 """
 
 from __future__ import annotations
@@ -13,10 +11,6 @@ import numpy as np
 from .core import PointCloud, RigidTransform
 
 FLIP_AXES = ("x", "y", "xy")
-
-# Sector-swap defaults: start angle uniform on the full circle, width
-# uniform between a quarter and a half turn.
-SECTOR_WIDTH_RANGE = (np.pi / 2.0, np.pi)
 
 
 def apply_transform(cloud: PointCloud, transform: RigidTransform) -> PointCloud:
@@ -41,70 +35,3 @@ def yaw_rotate(cloud: PointCloud, angle: float) -> PointCloud:
     if not np.isfinite(angle):
         raise ValueError("angle must be finite")
     return apply_transform(cloud, RigidTransform.yaw(angle))
-
-
-def translate_jitter(cloud: PointCloud, seed: int, range_m: float = 0.5) -> PointCloud:
-    """Shift the whole cloud by one random offset, per-axis uniform in [-range_m, range_m]."""
-    if range_m < 0:
-        raise ValueError("range_m must be >= 0")
-    rng = np.random.default_rng(seed)
-    offset = rng.uniform(-range_m, range_m, size=3)
-    return PointCloud(cloud.xyz + offset, cloud.intensity)
-
-
-def squeeze(cloud: PointCloud, seed: int, scale_range: tuple[float, float] = (0.9, 1.1)) -> PointCloud:
-    """Scale x and y by one random factor drawn uniform in scale_range; z unchanged."""
-    low, high = scale_range
-    if not (0.0 < low <= high):
-        raise ValueError(f"need 0 < low <= high, got {scale_range}")
-    rng = np.random.default_rng(seed)
-    factor = rng.uniform(low, high)
-    xyz = cloud.xyz.copy()
-    xyz[:, 0] *= factor
-    xyz[:, 1] *= factor
-    return PointCloud(xyz, cloud.intensity)
-
-
-def _azimuth(xyz: np.ndarray) -> np.ndarray:
-    """Azimuth of each point in [0, 2*pi)."""
-    return np.mod(np.arctan2(xyz[:, 1], xyz[:, 0]), 2.0 * np.pi)
-
-
-def sector_mix(
-    cloud_a: PointCloud,
-    labels_a: np.ndarray,
-    cloud_b: PointCloud,
-    labels_b: np.ndarray,
-    seed: int,
-    width_range: tuple[float, float] = SECTOR_WIDTH_RANGE,
-):
-    """Swap one random azimuth sector (points + labels) between two clouds.
-
-    The sector [theta0, theta0 + width) is drawn once (theta0 uniform on
-    [0, 2*pi), width uniform on `width_range`) and applied to both clouds,
-    so the two outputs jointly preserve the union of the inputs.  Each
-    output lists its kept points first (original order) followed by the
-    points received from the other cloud (their original order).
-
-    Returns ((cloud_a', labels_a'), (cloud_b', labels_b')).
-    """
-    labels_a = np.asarray(labels_a)
-    labels_b = np.asarray(labels_b)
-    if labels_a.shape != (len(cloud_a),) or labels_b.shape != (len(cloud_b),):
-        raise ValueError("labels must parallel their clouds")
-    rng = np.random.default_rng(seed)
-    theta0 = rng.uniform(0.0, 2.0 * np.pi)
-    width = rng.uniform(width_range[0], width_range[1])
-
-    in_a = np.mod(_azimuth(cloud_a.xyz) - theta0, 2.0 * np.pi) < width
-    in_b = np.mod(_azimuth(cloud_b.xyz) - theta0, 2.0 * np.pi) < width
-
-    def _recombine(keep_cloud, keep_labels, keep_mask, recv_cloud, recv_labels, recv_mask):
-        xyz = np.concatenate([keep_cloud.xyz[~keep_mask], recv_cloud.xyz[recv_mask]])
-        inten = np.concatenate([keep_cloud.intensity[~keep_mask], recv_cloud.intensity[recv_mask]])
-        labels = np.concatenate([keep_labels[~keep_mask], recv_labels[recv_mask]])
-        return PointCloud(xyz, inten), labels
-
-    out_a = _recombine(cloud_a, labels_a, in_a, cloud_b, labels_b, in_b)
-    out_b = _recombine(cloud_b, labels_b, in_b, cloud_a, labels_a, in_a)
-    return out_a, out_b

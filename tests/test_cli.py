@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -82,15 +83,23 @@ class TestStages:
         red_lines = (out / "reduction.csv").read_text().strip().splitlines()
         assert red_lines[-1].startswith("total,")
 
-    def test_pipeline_meta_command_matches_stage_chain(self, corpus, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("mode", ["class_balanced", "static"])
+    @pytest.mark.parametrize("scheme", ["confidence_avg", "majority", "distance_weighted"])
+    def test_pipeline_meta_command_matches_stage_chain(self, corpus, tmp_path, scheme, mode, jobs):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        data = ["--dataset-root", corpus]
-        cm = ["--class-map", corpus / "class_map.csv"]
+        cfg = tmp_path / "config.json"
+        threshold = {"mode": mode, "tau": 0.9} if mode == "static" else {"mode": mode}
+        cfg.write_text(json.dumps({"refinement": {"scheme": scheme}, "threshold": threshold}))
+        common = ["--config", cfg, "--jobs", jobs]
+        data = ["--dataset-root", corpus, *common]
+        cm = ["--class-map", corpus / "class_map.csv", *common]
         assert run(["pipeline", *data, *cm, "--output-root", out_a]) == 0
         assert run(["lift", *data, "--output-root", out_b]) == 0
         assert run(["refine", *data, "--output-root", out_b]) == 0
-        assert run(["stats", *cm, "--output-root", out_b]) == 0
+        if mode == "class_balanced":
+            assert run(["stats", *cm, "--output-root", out_b]) == 0
         assert run(["threshold", *cm, "--output-root", out_b]) == 0
         assert tree_digest(out_a) == tree_digest(out_b)
 
@@ -102,6 +111,46 @@ class TestStages:
         first = tree_digest(out)
         assert run(["pipeline", *base]) == 0
         assert tree_digest(out) == first
+
+
+def write_sparse_dataset(root):
+    """Frame 000000 has 3 of 5 points in view, frame 000001 none; 2x2 identity camera."""
+    from seglift.core import PointCloud
+    seq = root / "sequences" / "00"
+    seq.mkdir(parents=True)
+    identity = "1 0 0 0 0 1 0 0 0 0 1 0"
+    (seq / "calib.txt").write_text(f"P2: {identity}\nTr: {identity}\n")
+    (root / "class_map.csv").write_text("0,unlabeled\n1,road\n2,car\n")
+    in_view = [[0.5, 0.5, 1.0], [1.5, 0.5, 1.0], [0.5, 1.5, 1.0]]
+    behind = [[0.0, 0.0, -1.0], [1.0, 1.0, -2.0]]
+    for stem, xyz in (("000000", in_view + behind), ("000001", behind)):
+        io.write_cloud_bin(PointCloud(np.array(xyz), np.full(len(xyz), 0.5)),
+                           seq / "velodyne" / f"{stem}.bin")
+        teacher = np.zeros((2, 2, 3), dtype=np.float32)
+        teacher[:, :, 1] = 1.0
+        teacher[1, 0] = [0.0, 0.0, 1.0]  # pixel (u=0, v=1) says car
+        io.write_tensor(teacher, seq / "probs_2d" / f"{stem}.ptns")
+
+
+class TestSparseScans:
+    @pytest.mark.parametrize("command", ["refine", "pipeline"])
+    def test_k_clamped_and_empty_fov_ignored(self, tmp_path, command):
+        root = tmp_path / "data"
+        write_sparse_dataset(root)
+        out = tmp_path / "out"
+        base = ["--dataset-root", root, "--output-root", out, "--class-map", root / "class_map.csv"]
+        if command == "refine":
+            assert run(["lift", *base]) == 0
+        assert run([command, *base]) == 0
+        seq = out / "sequences" / "00"
+        # The default k=19 clamps to the 3 in-view points: each averages all three rows.
+        labels, _ = io.read_labels(seq / "refined_labels" / "000000.label")
+        conf = io.read_tensor(seq / "confidences" / "000000.ptns")
+        assert labels.tolist() == [1, 1, 1, 0, 0]
+        np.testing.assert_allclose(conf, [2 / 3, 2 / 3, 2 / 3, 0, 0], rtol=1e-6)
+        labels, _ = io.read_labels(seq / "refined_labels" / "000001.label")
+        conf = io.read_tensor(seq / "confidences" / "000001.ptns")
+        assert labels.tolist() == [0, 0] and conf.tolist() == [0.0, 0.0]
 
 
 class TestZeroNoisePipeline:
@@ -241,6 +290,33 @@ class TestExitCodes:
         cfg.write_text('{"no_such_key": 1}')
         assert run(["lift", "--config", cfg, "--dataset-root", corpus,
                     "--output-root", tmp_path / "out"]) == 2
+
+    @pytest.mark.parametrize("args, key", [
+        (["refine", "--k", "0"], "refinement.k"),
+        (["lift", "--jobs", "0"], "jobs"),
+        (["lift", "--jobs", "-2"], "jobs"),
+        (["threshold", "--mode", "static", "--tau", "1.5"], "threshold.tau"),
+        (["threshold", "--mode", "class_balanced", "--tau-min", "0.9", "--tau-max", "0.5"],
+         "tau_min <= tau_max"),
+    ], ids=["k-zero", "jobs-zero", "jobs-negative", "static-tau-above-one", "inverted-taus"])
+    def test_bad_flag_is_config_error_naming_key(self, corpus, tmp_path, capsys, args, key):
+        data = ["--dataset-root", corpus] if args[0] != "threshold" else []
+        assert run([*args, *data, "--output-root", tmp_path / "out",
+                    "--class-map", corpus / "class_map.csv"]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["lift", "pipeline"])
+    def test_missing_teacher_map_fails_before_any_write(self, corpus, tmp_path, capsys, command):
+        root = tmp_path / "data"
+        shutil.copytree(corpus, root)
+        missing = root / "sequences" / "00" / "probs_2d" / "000001.ptns"
+        missing.unlink()
+        out = tmp_path / "out"
+        assert run([command, "--dataset-root", root, "--output-root", out,
+                    "--class-map", root / "class_map.csv"]) == 1
+        assert str(missing) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_threshold_without_histogram_exits_two(self, corpus, tmp_path):
         out = tmp_path / "out"

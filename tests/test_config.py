@@ -24,11 +24,6 @@ class TestDefaults:
         assert cfg.cameras == (2,)
         assert cfg.jobs == 1
 
-    def test_augmentation_defaults(self):
-        cfg = parse_config({})
-        assert cfg.augmentation.jitter_range_m == 0.5
-        assert cfg.augmentation.squeeze_range == (0.9, 1.1)
-
 
 class TestValidation:
     def test_unknown_top_level_key(self):
@@ -89,14 +84,13 @@ class TestReadConfig:
             "class_map": "class_map.csv",
             "refinement": {"scheme": "majority", "k": 5},
             "threshold": {"mode": "class_balanced", "tau_min": 0.6, "tau_max": 0.9},
-            "seed": 3,
             "jobs": 4,
         })
         cfg = read_config(path)
         assert cfg.dataset_root == str((tmp_path / "data").resolve())
         assert cfg.refinement.scheme == "majority" and cfg.refinement.k == 5
         assert cfg.threshold.tau_min == 0.6
-        assert cfg.seed == 3 and cfg.jobs == 4
+        assert cfg.jobs == 4
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "config.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import class_thresholds_scalar
-from seglift.errors import EmptyHistogram, SizeMismatch, UnknownClassError
+from seglift.errors import EmptyHistogram, NonFiniteValue, SizeMismatch, UnknownClassError
 from seglift.thresholding import (
     ThresholdConfig,
     apply_threshold,
@@ -148,6 +148,11 @@ class TestApplyThreshold:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             apply_threshold(np.array([1, 2]), np.array([0.5]), np.array([0.5, 0.5, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_confidence_rejected(self, bad):
+        with pytest.raises(NonFiniteValue):
+            apply_threshold(np.array([1, 2]), np.array([bad, 0.5]), np.full(3, 0.9))
 
     def test_raising_tau_min_never_reduces_removal(self):
         rng = np.random.default_rng(5)

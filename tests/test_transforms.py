@@ -1,4 +1,4 @@
-"""Geometric op semantics: flips, yaw, jitter, squeeze, sector swapping."""
+"""Geometric op semantics: rigid transforms, flips, yaw rotation."""
 
 import numpy as np
 import pytest
@@ -96,118 +96,12 @@ class TestYawRotate:
         np.testing.assert_array_equal(out.xyz[:, 2], cloud.xyz[:, 2])
 
 
-class TestTranslateJitter:
-    def test_zero_range_identity(self):
-        cloud = random_cloud(10, 7)
-        np.testing.assert_array_equal(transforms.translate_jitter(cloud, 1, 0.0).xyz, cloud.xyz)
-
-    def test_deterministic_per_seed(self):
-        cloud = random_cloud(10, 8)
-        a = transforms.translate_jitter(cloud, seed=99, range_m=0.5)
-        b = transforms.translate_jitter(cloud, seed=99, range_m=0.5)
-        np.testing.assert_array_equal(a.xyz, b.xyz)
-
-    def test_offset_within_bounds(self):
-        cloud = random_cloud(10, 9)
-        out = transforms.translate_jitter(cloud, seed=5, range_m=0.3)
-        offset = out.xyz - cloud.xyz
-        assert np.all(np.abs(offset) <= 0.3 + 1e-12)
-        # one shared offset for the whole cloud (up to addition rounding)
-        assert np.ptp(offset, axis=0).max() < 1e-9
-
-
-class TestSqueeze:
-    def test_unit_range_identity(self):
-        cloud = random_cloud(10, 10)
-        np.testing.assert_array_equal(transforms.squeeze(cloud, 3, (1.0, 1.0)).xyz, cloud.xyz)
-
-    def test_known_factor(self):
-        out = transforms.squeeze(make_cloud([[2.0, 4.0, 6.0]]), seed=0, scale_range=(0.5, 0.5))
-        np.testing.assert_allclose(out.xyz, [[1.0, 2.0, 6.0]])
-
-    def test_same_seed_same_factor(self):
-        cloud = random_cloud(10, 11)
-        a = transforms.squeeze(cloud, seed=42)
-        b = transforms.squeeze(cloud, seed=42)
-        np.testing.assert_array_equal(a.xyz, b.xyz)
-
-    def test_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            transforms.squeeze(random_cloud(5, 12), seed=0, scale_range=(0.0, 1.0))
-
-
-class TestSectorMix:
-    def test_self_mix_preserves_label_multiset(self):
-        cloud = random_cloud(200, 13)
-        labels = np.random.default_rng(14).integers(0, 5, 200).astype(np.uint16)
-        (ca, la), (cb, lb) = transforms.sector_mix(cloud, labels, cloud, labels, seed=7)
-        np.testing.assert_array_equal(np.sort(la), np.sort(labels))
-        np.testing.assert_array_equal(np.sort(lb), np.sort(labels))
-
-    def test_outputs_partition_the_inputs(self):
-        rng = np.random.default_rng(15)
-        a = random_cloud(150, 16)
-        b = random_cloud(130, 17)
-        la = rng.integers(0, 4, 150).astype(np.uint16)
-        lb = rng.integers(0, 4, 130).astype(np.uint16)
-        (ca, _), (cb, _) = transforms.sector_mix(a, la, b, lb, seed=21)
-        assert len(ca) + len(cb) == len(a) + len(b)
-        merged_in = np.concatenate([a.xyz, b.xyz])
-        merged_out = np.concatenate([ca.xyz, cb.xyz])
-        np.testing.assert_array_equal(
-            merged_in[np.lexsort(merged_in.T)], merged_out[np.lexsort(merged_out.T)]
-        )
-
-    def test_forced_sector_moves_expected_points(self):
-        # Ten points: b's first five sit at azimuth ~45deg (inside any sector
-        # that covers [0, pi)), the rest at ~225deg.  Find a seed whose drawn
-        # sector covers [0, pi) tightly enough and check membership directly.
-        ang_in = np.deg2rad(45.0)
-        ang_out = np.deg2rad(225.0)
-        xyz_b = np.array(
-            [[np.cos(ang_in), np.sin(ang_in), 0.0]] * 5
-            + [[np.cos(ang_out), np.sin(ang_out), 0.0]] * 5
-        ) * np.linspace(1, 2, 10)[:, None]
-        b = PointCloud(xyz_b, np.full(10, 0.5))
-        a = PointCloud(np.tile([[10.0, -10.0, 0.0]], (4, 1)) * np.linspace(1, 2, 4)[:, None],
-                       np.full(4, 0.5))
-        la = np.full(4, 1, dtype=np.uint16)
-        lb = np.array([2] * 5 + [3] * 5, dtype=np.uint16)
-
-        for seed in range(1000):
-            rng = np.random.default_rng(seed)
-            theta0 = rng.uniform(0, 2 * np.pi)
-            width = rng.uniform(np.pi / 2, np.pi)
-            in_sector = lambda ang: (ang - theta0) % (2 * np.pi) < width
-            if in_sector(ang_in) and not in_sector(ang_out) and not in_sector(np.deg2rad(315.0)):
-                break
-        else:
-            pytest.fail("no suitable seed found")
-
-        (ca, la_out), (cb, lb_out) = transforms.sector_mix(a, la, b, lb, seed=seed)
-        # a keeps its own 4 points (outside sector) and gains b's 5 in-sector points
-        assert sorted(la_out.tolist()) == [1, 1, 1, 1, 2, 2, 2, 2, 2]
-        assert sorted(lb_out.tolist()) == [3, 3, 3, 3, 3]
-
-    def test_deterministic(self):
-        a = random_cloud(50, 18)
-        b = random_cloud(60, 19)
-        la = np.zeros(50, dtype=np.uint16)
-        lb = np.ones(60, dtype=np.uint16)
-        first = transforms.sector_mix(a, la, b, lb, seed=5)
-        second = transforms.sector_mix(a, la, b, lb, seed=5)
-        np.testing.assert_array_equal(first[0][0].xyz, second[0][0].xyz)
-        np.testing.assert_array_equal(first[1][0].xyz, second[1][0].xyz)
-
-
 def test_all_ops_preserve_intensity_values():
     cloud = random_cloud(80, 20)
     outs = [
         transforms.apply_transform(cloud, RigidTransform.yaw(0.3)),
         transforms.flip(cloud, "xy"),
         transforms.yaw_rotate(cloud, 2.0),
-        transforms.translate_jitter(cloud, 1, 0.5),
-        transforms.squeeze(cloud, 2),
     ]
     for out in outs:
         np.testing.assert_array_equal(out.intensity, cloud.intensity)
