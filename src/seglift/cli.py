@@ -27,7 +27,7 @@ import numpy as np
 from . import io, soup, synthetic, tta
 from .config import REFINEMENT_SCHEMES, PipelineConfig, read_config
 from .core import IGNORE_ID
-from .errors import ConfigError, ToolkitError, UnknownClassError
+from .errors import ConfigError, NonFiniteValue, ToolkitError, UnknownClassError
 from .evaluation import ConfusionMatrix, report
 from .projection import FovMask, lift_probs, merge_lifted, slice_cloud
 from .refinement import build_tree, refine_confidence_avg, refine_distance_weighted, refine_majority
@@ -77,6 +77,13 @@ class Scan:
 
     def output(self, subdir: str, suffix: str = ".ptns") -> Path:
         return self.out / subdir / f"{self.stem}{suffix}"
+
+    def fov_mask(self, masks: str | None) -> Path:
+        return Path(masks) / D_MASK / f"{self.stem}.ptns" if masks else self.output(D_MASK)
+
+    def variants(self, subdir: str) -> list[Path]:
+        return [self.seq / subdir / f"{self.stem}_v{i:02d}.ptns"
+                for i in range(len(tta.default_variants()))]
 
 
 def _scans(root, out_root, subdir: str = D_VELO, suffix: str = ".bin") -> list[Scan]:
@@ -146,7 +153,6 @@ def _lift(cfg: PipelineConfig, scan: Scan):
 def _refine(cfg: PipelineConfig, scan: Scan, cloud, probs: np.ndarray, mask: FovMask) -> np.ndarray:
     """Refine one lifted scan, write its labels and confidences; returns the label counts."""
     ref = cfg.refinement
-    probs = probs.astype(np.float64)
     # Sparse scans must not abort a batch: clamp k to the indexed points
     # (keeping it odd) and fall back to all-ignore when nothing is indexed.
     limit = mask.count if ref.include_self else mask.count - 1
@@ -190,7 +196,10 @@ def _lift_refine(cfg: PipelineConfig, scan: Scan) -> np.ndarray:
 def _cut(thresholds: np.ndarray, scan: Scan):
     labels, _ = io.read_labels(scan.output(D_REFINED, ".label"))
     conf = io.read_tensor(scan.output(D_CONF)).astype(np.float64)
-    out, _ = apply_threshold(labels, conf, thresholds)
+    try:
+        out, _ = apply_threshold(labels, conf, thresholds)
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(f"{scan.output(D_CONF)}: {exc}") from exc
     labeled = int((labels != IGNORE_ID).sum())
     removed = labeled - int((out != IGNORE_ID).sum())
     io.write_labels(out, scan.output(D_PSEUDO, ".label"))
@@ -199,8 +208,7 @@ def _cut(thresholds: np.ndarray, scan: Scan):
 
 def _slice(masks: str | None, scan: Scan) -> None:
     cloud = io.read_cloud_bin(scan.cloud)
-    mask_path = Path(masks) / D_MASK / f"{scan.stem}.ptns" if masks else scan.output(D_MASK)
-    sliced, index_map = slice_cloud(cloud, io.read_tensor(mask_path).astype(bool))
+    sliced, index_map = slice_cloud(cloud, io.read_tensor(scan.fov_mask(masks)).astype(bool))
     io.write_cloud_bin(sliced, scan.output(D_SLICED, ".bin"))
     io.write_tensor(index_map.astype(np.uint32), scan.output(D_INDEX))
     label_path = scan.seq / D_LABELS / f"{scan.stem}.label"
@@ -218,8 +226,7 @@ def _tta_emit(_, scan: Scan) -> None:
 
 
 def _tta_aggregate(subdir: str, scan: Scan) -> None:
-    tensors = [io.read_tensor(scan.seq / subdir / f"{scan.stem}_v{i:02d}.ptns")
-               for i in range(len(tta.default_variants()))]
+    tensors = [io.read_tensor(path) for path in scan.variants(subdir)]
     io.write_tensor(tta.aggregate_tta(tensors), scan.output(D_AGG))
 
 
@@ -366,6 +373,7 @@ def cmd_threshold(args) -> int:
 def cmd_slice(args) -> int:
     cfg = _config(args, "dataset_root", "output_root")
     scans = _scans(cfg.dataset_root, cfg.output_root)
+    _require(s.fov_mask(args.masks) for s in scans)
     _run(_slice, args.masks, scans, cfg.jobs)
     print(f"slice: {len(scans)} scans -> {cfg.output_root}")
     return 0
@@ -407,6 +415,7 @@ def cmd_tta(args) -> int:
         scans = sorted({replace(f, stem=f.stem.rsplit("_v", 1)[0]) for f in files if "_v" in f.stem})
         if not scans:
             raise ConfigError(f"{args.probs_subdir}: no per-variant tensors (<stem>_vNN.ptns)")
+        _require(p for s in scans for p in s.variants(args.probs_subdir))
         _run(_tta_aggregate, args.probs_subdir, scans, cfg.jobs)
     print(f"tta {args.action}: {len(scans)} scans")
     return 0

@@ -7,9 +7,14 @@ self-inclusion, neighbor 0 is the query at distance 0 and K=1 is the
 identity refinement).  The tie rules make results independent of thread
 count, build order, and the underlying search structure.
 
-Vote accumulation is performed neighbor-by-neighbor in neighbor order so
-that floating-point sums are reproducible against a direct per-point
-reimplementation.
+Exactness rule: each row's kd-tree probe is re-sorted on (squared
+distance, not-self, index) and widened, doubling, until it extends past
+the tie group at the cut: its farthest candidate lies strictly beyond the
+last neighbor kept, or it holds every point.
+
+Votes are summed by one `np.bincount` over the row-major (M, K) neighbor
+layout, so each (point, class) bin adds in neighbor order and its float
+sum is reproducible against a direct per-point reimplementation.
 """
 
 from __future__ import annotations
@@ -44,65 +49,30 @@ class KdTree:
         in the indexed subset (apply `index_map` for original-cloud ids).
         """
         m = len(self)
-        limit = m if include_self else m - 1
-        if not 1 <= k <= limit:
-            raise BadK(f"k={k} outside [1, {limit}] for {m} indexed points")
+        skip = 0 if include_self else 1  # the query leads its row; drop it when excluded
+        if not 1 <= k <= m - skip:
+            raise BadK(f"k={k} outside [1, {m - skip}] for {m} indexed points")
 
-        # Probe two extra neighbors: one to absorb the query itself when
-        # excluded, one to detect distance ties that straddle the cut.
-        kq = min(k + 2, m)
-        _, raw_i = self._kd.query(self.points, k=kq)
-        raw_i = raw_i.reshape(m, kq)
-
-        d2 = ((self.points[raw_i] - self.points[:, None, :]) ** 2).sum(axis=2)
-        qidx = np.arange(m)[:, None]
-        not_self = raw_i != qidx
-        order = np.lexsort((raw_i, not_self, d2), axis=-1)
-        sd2 = np.take_along_axis(d2, order, axis=1)
-        si = np.take_along_axis(raw_i, order, axis=1)
-        s_not_self = np.take_along_axis(not_self, order, axis=1)
-
-        start = np.zeros(m, dtype=np.int64)
-        exact = np.ones(m, dtype=bool)
-        if include_self:
-            # Self must be present and lead the row; with many coincident
-            # points the search may have dropped it.
-            exact &= ~s_not_self[:, 0]
-        else:
-            # Drop the query from its own candidate list when present.
-            start = (~s_not_self[:, 0]).astype(np.int64)
-        end = start + k
-        if kq > k + 1 or not include_self:
-            # A tie across the cut means the probe may have missed a
-            # lower-index candidate; fall back to an exhaustive row.
-            has_probe = end < kq
-            tied = np.zeros(m, dtype=bool)
-            rows = np.flatnonzero(has_probe)
-            tied[rows] = sd2[rows, end[rows]] <= sd2[rows, end[rows] - 1]
-            exact &= ~tied
-        if kq == m:
-            # The whole set is in the row: its sorted prefix is exact and
-            # the query is necessarily present.
-            exact[:] = True
-
-        cols = np.arange(k)
-        take = start[:, None] + cols[None, :]
-        idx = np.take_along_axis(si, np.minimum(take, kq - 1), axis=1)
-        for row in np.flatnonzero(~exact):
-            idx[row] = self._exhaustive_row(row, k, include_self)
-
-        diff = self.points[idx] - self.points[:, None, :]
-        dist = np.sqrt((diff ** 2).sum(axis=2))
-        return idx, dist
-
-    def _exhaustive_row(self, row: int, k: int, include_self: bool) -> np.ndarray:
-        d2 = ((self.points - self.points[row]) ** 2).sum(axis=1)
-        ids = np.arange(len(self))
-        not_self = ids != row
-        order = np.lexsort((ids, not_self, d2))
-        if not include_self:
-            order = order[order != row]
-        return order[:k]
+        idx = np.empty((m, k), dtype=np.int64)
+        d2 = np.empty((m, k), dtype=np.float64)
+        rows = np.arange(m)
+        kq = k + skip + 1
+        while rows.size:
+            kq = min(kq, m)
+            _, raw = self._kd.query(self.points[rows], k=kq)
+            raw = raw.reshape(rows.size, kq)
+            rd2 = ((self.points[raw] - self.points[rows, None, :]) ** 2).sum(axis=2)
+            order = np.lexsort((raw, raw != rows[:, None], rd2), axis=-1)
+            raw = np.take_along_axis(raw, order, axis=1)
+            rd2 = np.take_along_axis(rd2, order, axis=1)
+            # Every point outside the probe is at least as far as its last
+            # candidate, so a strictly farther last candidate settles the row.
+            done = (rd2[:, -1] > rd2[:, skip + k - 1]) | (kq == m)
+            idx[rows[done]] = raw[done, skip:skip + k]
+            d2[rows[done]] = rd2[done, skip:skip + k]
+            rows = rows[~done]
+            kq *= 2
+        return idx, np.sqrt(d2)
 
 
 def build_tree(cloud: PointCloud, mask=None) -> KdTree:
@@ -138,6 +108,15 @@ def _scatter_labels(tree: KdTree, winners: np.ndarray) -> np.ndarray:
     return out
 
 
+def _votes(neighbor_labels: np.ndarray, c: int, weights=None) -> np.ndarray:
+    """(M, c) per-row vote counts, or sums of `weights`, by neighbor label."""
+    m = neighbor_labels.shape[0]
+    bins = (np.arange(m)[:, None] * c + neighbor_labels).ravel()
+    if weights is not None:
+        weights = weights.ravel()
+    return np.bincount(bins, weights, minlength=m * c).reshape(m, c)
+
+
 def refine_majority(probs: np.ndarray, tree: KdTree, k: int,
                     include_self: bool = True, tie_break: str = "lowest") -> np.ndarray:
     """Most frequent argmax label among the K neighbors.
@@ -151,11 +130,7 @@ def refine_majority(probs: np.ndarray, tree: KdTree, k: int,
     sub = probs[tree.index_map]
     labels = np.argmax(sub, axis=1)
     idx, _ = tree.neighbors(k, include_self)
-    m, c = sub.shape
-    votes = np.zeros((m, c), dtype=np.int64)
-    rows = np.arange(m)
-    for j in range(k):
-        np.add.at(votes, (rows, labels[idx[:, j]]), 1)
+    votes = _votes(labels[idx], sub.shape[1])
     winners = votes.argmax(axis=1)  # first max -> lowest class id
     if tie_break == "keep":
         top = votes.max(axis=1, keepdims=True)
@@ -177,16 +152,11 @@ def refine_distance_weighted(probs: np.ndarray, tree: KdTree, k: int,
     idx, dist = tree.neighbors(k, include_self)
     e = np.exp(dist - dist.max(axis=1, keepdims=True))
     weights = 1.0 - e / e.sum(axis=1, keepdims=True)
-    m, c = sub.shape
-    acc = np.zeros((m, c), dtype=np.float64)
-    voted = np.zeros((m, c), dtype=bool)
-    rows = np.arange(m)
-    for j in range(k):
-        np.add.at(acc, (rows, labels[idx[:, j]]), weights[:, j])
-        voted[rows, labels[idx[:, j]]] = True
+    neighbor_labels = labels[idx]
+    acc = _votes(neighbor_labels, sub.shape[1], weights)
     # Only classes that received a vote compete; at k=1 every weight is
     # zero, which must still return the self label, not class 0.
-    acc[~voted] = -np.inf
+    acc[_votes(neighbor_labels, sub.shape[1]) == 0] = -np.inf
     return _scatter_labels(tree, acc.argmax(axis=1))
 
 

@@ -318,6 +318,40 @@ class TestExitCodes:
         assert str(missing) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["slice", "tta aggregate"])
+    def test_missing_input_fails_before_any_write(self, corpus, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        if command == "slice":
+            assert run(["lift", "--dataset-root", corpus, "--output-root", out]) == 0
+            data = corpus
+            missing = out / "sequences" / "00" / "fov_mask" / "000001.ptns"
+        else:
+            data = tmp_path / "preds"
+            variants = data / "sequences" / "00" / "tta"
+            for stem in ("000000", "000001"):
+                for i in range(12):
+                    io.write_tensor(np.full((4, 3), 0.25, np.float32),
+                                    variants / f"{stem}_v{i:02d}.ptns")
+            missing = variants / "000001_v05.ptns"
+        missing.unlink()
+        before = sorted(out.rglob("*"))
+        assert run([*command.split(), "--dataset-root", data, "--output-root", out]) == 1
+        assert str(missing) in capsys.readouterr().err
+        assert sorted(out.rglob("*")) == before
+
+    def test_non_finite_confidence_names_its_file(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        base = ["--dataset-root", corpus, "--output-root", out]
+        assert run(["lift", *base]) == 0
+        assert run(["refine", *base]) == 0
+        conf_path = out / "sequences" / "00" / "confidences" / "000001.ptns"
+        conf = io.read_tensor(conf_path)
+        conf[0] = np.nan
+        io.write_tensor(conf, conf_path)
+        assert run(["threshold", "--output-root", out, "--class-map", corpus / "class_map.csv",
+                    "--mode", "static", "--tau", "0.5"]) == 1
+        assert str(conf_path) in capsys.readouterr().err
+
     def test_threshold_without_histogram_exits_two(self, corpus, tmp_path):
         out = tmp_path / "out"
         base = ["--dataset-root", corpus, "--output-root", out,

@@ -4,8 +4,13 @@ Label outputs must match the brute-force oracles bit-exactly, including
 under crafted distance ties and duplicated points.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import (
     confidence_avg_brute,
@@ -16,6 +21,7 @@ from oracles import (
 from seglift.core import PointCloud
 from seglift.errors import BadK, DimMismatch, EmptyInput
 from seglift.refinement import (
+    _votes,
     build_tree,
     refine_confidence_avg,
     refine_distance_weighted,
@@ -302,3 +308,59 @@ def test_neighbor_stress_battery_matches_oracle():
                 bidx, bdist = knn_brute(xyz, k, include_self)
                 np.testing.assert_array_equal(idx, bidx)
                 np.testing.assert_array_equal(dist, bdist)
+
+
+def test_votes_add_each_bin_in_neighbor_order():
+    """Counts and weighted sums equal a per-point loop over the neighbors, bit for bit;
+    weights of mixed magnitude make the float sums depend on their order."""
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, 4, (50, 7))
+    weights = rng.choice([1e16, -1e16, 1.0, 0.1], (50, 7)) * rng.uniform(0.5, 1.5, (50, 7))
+    sums = np.zeros((50, 4))
+    counts = np.zeros((50, 4), dtype=np.int64)
+    for row in range(50):
+        for j in range(7):
+            sums[row, labels[row, j]] += weights[row, j]
+            counts[row, labels[row, j]] += 1
+    np.testing.assert_array_equal(_votes(labels, 4, weights), sums)
+    np.testing.assert_array_equal(_votes(labels, 4), counts)
+
+
+@st.composite
+def grid_queries(draw):
+    """Up to 200 points on a small integer grid (ties and duplicates are
+    common), an include_self flag and any k in range."""
+    include_self = draw(st.booleans())
+    skip = 0 if include_self else 1
+    n = draw(st.integers(1 + skip, 200))
+    side = draw(st.integers(1, 6))
+    xyz = draw(arrays(np.int64, (n, 3), elements=st.integers(0, side - 1)))
+    k = draw(st.integers(1, n - skip))
+    return xyz.astype(np.float64), k, include_self
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_queries())
+def test_neighbors_bit_equal_to_oracle_on_integer_grids(query):
+    xyz, k, include_self = query
+    idx, dist = build_tree(cloud_from(xyz)).neighbors(k, include_self)
+    bidx, bdist = knn_brute(xyz, k, include_self)
+    np.testing.assert_array_equal(idx, bidx)
+    np.testing.assert_array_equal(dist, bdist)
+
+
+@pytest.mark.parametrize("include_self", [True, False])
+def test_coincident_cluster_widens_probe_below_full_set(include_self):
+    """40 coincident points among 200: their rows tie far past k=3, so the
+    probe must widen over several rounds while staying below all 200 points."""
+    xyz = np.random.default_rng(17).uniform(-10, 10, (200, 3))
+    xyz[60:100] = xyz[60]
+    tree = build_tree(cloud_from(xyz))
+    probes = []
+    query = tree._kd.query
+    tree._kd = SimpleNamespace(query=lambda x, k: probes.append(k) or query(x, k=k))
+    idx, dist = tree.neighbors(3, include_self)
+    bidx, bdist = knn_brute(xyz, 3, include_self)
+    np.testing.assert_array_equal(idx, bidx)
+    np.testing.assert_array_equal(dist, bdist)
+    assert len(probes) >= 3 and max(probes) < len(xyz)
