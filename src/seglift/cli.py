@@ -17,14 +17,13 @@ import argparse
 import json
 import shlex
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import io, soup, synthetic, tta
+from . import io, soup, tta
 from .config import REFINEMENT_SCHEMES, PipelineConfig, read_config
 from .core import IGNORE_ID
 from .errors import ConfigError, NonFiniteValue, ToolkitError, UnknownClassError
@@ -79,7 +78,9 @@ class Scan:
         return self.out / subdir / f"{self.stem}{suffix}"
 
     def fov_mask(self, masks: str | None) -> Path:
-        return Path(masks) / D_MASK / f"{self.stem}.ptns" if masks else self.output(D_MASK)
+        """The FOV mask under `masks` (a lift output root), else under the output root."""
+        out = Path(masks) / "sequences" / self.seq.name if masks else self.out
+        return out / D_MASK / f"{self.stem}.ptns"
 
     def variants(self, subdir: str) -> list[Path]:
         return [self.seq / subdir / f"{self.stem}_v{i:02d}.ptns"
@@ -116,6 +117,8 @@ def _run(fn, arg, scans: list[Scan], jobs: int) -> list:
     work = partial(fn, arg)
     if jobs <= 1:
         return [work(scan) for scan in scans]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(work, scans))
 
@@ -325,6 +328,8 @@ def cmd_synth(args) -> int:
         raise ConfigError("--scenes must be >= 1")
     if not (0.0 <= args.border_rate <= 1.0 and 0.0 <= args.body_rate <= 1.0):
         raise ConfigError("error rates must lie in [0, 1]")
+    from . import synthetic
+
     synthetic.generate_corpus(
         args.out,
         num_scenes=args.scenes,
@@ -500,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("slice", help="cut clouds to the camera field of view")
     _add_common(sp)
-    sp.add_argument("--masks", help="root holding fov_mask/ (defaults to output root)")
+    sp.add_argument("--masks",
+                    help="lift output root holding sequences/NN/fov_mask/ (defaults to output root)")
     sp.set_defaults(func=cmd_slice)
 
     sp = sub.add_parser("eval", help="mIoU of predictions against ground truth")

@@ -21,6 +21,7 @@ malformation maps to a typed error from :mod:`seglift.errors`.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -32,6 +33,7 @@ import numpy as np
 from .core import CalibrationRig, ClassMap, PointCloud
 from .errors import (
     BadMagic,
+    DimMismatch,
     LengthError,
     ParseError,
     SizeMismatch,
@@ -44,6 +46,7 @@ PTNS_VERSION = 1
 
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<u1"), 2: np.dtype("<u4")}
 _DTYPE_CODES = {v: k for k, v in _DTYPES.items()}
+_MAX_NDIM = 32  # numpy's limit before 2.0
 
 _CLOUD_RECORD = 16  # 4 x float32
 _LABEL_RECORD = 4   # 1 x uint32
@@ -204,33 +207,43 @@ def write_calib(rig: CalibrationRig, path, camera: int = 2) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a PTNS container into an array (C-order, native little-endian)."""
-    data = Path(path).read_bytes()
-    if len(data) < 10:
-        raise SizeMismatch(f"{path}: truncated header ({len(data)} bytes)")
-    magic, version, dtype_code, ndim = struct.unpack_from("<4sBBI", data, 0)
-    if magic != PTNS_MAGIC:
-        raise BadMagic(f"{path}: magic {magic!r} != {PTNS_MAGIC!r}")
-    if version != PTNS_VERSION:
-        raise UnsupportedVersion(f"{path}: version {version}")
-    if dtype_code not in _DTYPES:
-        raise UnsupportedVersion(f"{path}: unknown dtype code {dtype_code}")
-    header_end = 10 + 4 * ndim
-    if len(data) < header_end:
-        raise SizeMismatch(f"{path}: truncated dims (ndim={ndim})")
-    dims = struct.unpack_from(f"<{ndim}I", data, 10) if ndim else ()
-    dtype = _DTYPES[dtype_code]
-    expected = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-    payload = data[header_end:]
-    if len(payload) != expected:
-        raise SizeMismatch(f"{path}: payload {len(payload)} bytes, expected {expected}")
-    arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
-    return arr.copy()
+    """Read a PTNS container into a new array (C-order, native little-endian).
+
+    The header is checked against the file size before anything is
+    allocated, and the payload is read straight into the returned array.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(10)
+        if len(head) < 10:
+            raise SizeMismatch(f"{path}: truncated header ({len(head)} bytes)")
+        magic, version, dtype_code, ndim = struct.unpack("<4sBBI", head)
+        if magic != PTNS_MAGIC:
+            raise BadMagic(f"{path}: magic {magic!r} != {PTNS_MAGIC!r}")
+        if version != PTNS_VERSION:
+            raise UnsupportedVersion(f"{path}: version {version}")
+        if dtype_code not in _DTYPES:
+            raise UnsupportedVersion(f"{path}: unknown dtype code {dtype_code}")
+        header_end = 10 + 4 * ndim
+        size = os.fstat(fh.fileno()).st_size
+        if size < header_end:
+            raise SizeMismatch(f"{path}: truncated dims (ndim={ndim})")
+        if ndim > _MAX_NDIM:
+            raise DimMismatch(f"{path}: ndim {ndim} exceeds {_MAX_NDIM}")
+        dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+        dtype = _DTYPES[dtype_code]
+        expected = math.prod(dims) * dtype.itemsize
+        if size - header_end != expected:
+            raise SizeMismatch(f"{path}: payload {size - header_end} bytes, expected {expected}")
+        arr = np.empty(dims, dtype=dtype)
+        got = fh.readinto(arr.reshape(-1).view(np.uint8))
+        if got != expected:
+            raise SizeMismatch(f"{path}: payload {got} bytes, expected {expected}")
+    return arr
 
 
 def write_tensor(arr: np.ndarray, path) -> None:
     """Write an array as a PTNS container; dtype must be float32, uint8, or uint32."""
-    arr = np.ascontiguousarray(arr)
+    arr = np.asarray(arr, order="C")
     key = arr.dtype.newbyteorder("<")
     if key not in _DTYPE_CODES:
         supported = ", ".join(str(d) for d in _DTYPE_CODES)
@@ -239,7 +252,7 @@ def write_tensor(arr: np.ndarray, path) -> None:
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     with atomic_write(path) as fh:
         fh.write(header)
-        fh.write(arr.astype(key, copy=False).tobytes())
+        fh.write(arr.astype(key, copy=False).reshape(-1).view(np.uint8))
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,23 @@ sum is reproducible against a direct per-point reimplementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import IGNORE_ID, PointCloud
 from .errors import BadK, DimMismatch, EmptyInput
 
+# scipy.spatial takes most of the package's import time and only build_tree
+# needs it, so it imports it there; commands that build no tree never load it.
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
+
 TIE_BREAKS = ("lowest", "keep")
+
+# Cap on (rows x probe width) gathered at once by a widening pass; a group
+# of c coincident points would otherwise gather c x 2c candidates together.
+_CHUNK_CANDIDATES = 1 << 19
 
 
 @dataclass(eq=False)
@@ -59,20 +68,28 @@ class KdTree:
         kq = k + skip + 1
         while rows.size:
             kq = min(kq, m)
-            _, raw = self._kd.query(self.points[rows], k=kq)
-            raw = raw.reshape(rows.size, kq)
-            rd2 = ((self.points[raw] - self.points[rows, None, :]) ** 2).sum(axis=2)
-            order = np.lexsort((raw, raw != rows[:, None], rd2), axis=-1)
-            raw = np.take_along_axis(raw, order, axis=1)
-            rd2 = np.take_along_axis(rd2, order, axis=1)
-            # Every point outside the probe is at least as far as its last
-            # candidate, so a strictly farther last candidate settles the row.
-            done = (rd2[:, -1] > rd2[:, skip + k - 1]) | (kq == m)
-            idx[rows[done]] = raw[done, skip:skip + k]
-            d2[rows[done]] = rd2[done, skip:skip + k]
-            rows = rows[~done]
+            step = max(1, _CHUNK_CANDIDATES // kq)
+            pending = [self._probe(rows[i:i + step], kq, k, skip, idx, d2)
+                       for i in range(0, rows.size, step)]
+            rows = np.concatenate(pending)
             kq *= 2
         return idx, np.sqrt(d2)
+
+    def _probe(self, rows, kq, k, skip, idx, d2):
+        """Query `rows` with `kq` candidates; fill the settled rows, return the rest."""
+        m = len(self)
+        _, raw = self._kd.query(self.points[rows], k=kq)
+        raw = raw.reshape(rows.size, kq)
+        rd2 = ((self.points[raw] - self.points[rows, None, :]) ** 2).sum(axis=2)
+        order = np.lexsort((raw, raw != rows[:, None], rd2), axis=-1)
+        raw = np.take_along_axis(raw, order, axis=1)
+        rd2 = np.take_along_axis(rd2, order, axis=1)
+        # Every point outside the probe is at least as far as its last
+        # candidate, so a strictly farther last candidate settles the row.
+        done = (rd2[:, -1] > rd2[:, skip + k - 1]) | (kq == m)
+        idx[rows[done]] = raw[done, skip:skip + k]
+        d2[rows[done]] = rd2[done, skip:skip + k]
+        return rows[~done]
 
 
 def build_tree(cloud: PointCloud, mask=None) -> KdTree:
@@ -87,6 +104,8 @@ def build_tree(cloud: PointCloud, mask=None) -> KdTree:
         index_map = np.flatnonzero(arr)
     if index_map.size == 0:
         raise EmptyInput("mask selects no points")
+    from scipy.spatial import cKDTree
+
     pts = np.ascontiguousarray(cloud.xyz[index_map], dtype=np.float64)
     return KdTree(points=pts, index_map=index_map, n_total=n, _kd=cKDTree(pts))
 

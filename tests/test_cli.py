@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seglift
 from seglift import io
 from seglift.cli import main
 
@@ -211,6 +216,29 @@ class TestSlice:
         gt_fov, _ = io.read_labels(seq / "labels_fov" / "000000.label")
         np.testing.assert_array_equal(gt_fov, gt[index_map])
 
+    def test_lift_output_root_serves_as_masks(self, corpus, tmp_path):
+        """`slice --masks L` reads L/sequences/NN/fov_mask/, where `lift --output-root L`
+        wrote them, per sequence: sequence 01 holds 00's frames under swapped stems."""
+        data = tmp_path / "data"
+        shutil.copytree(corpus, data)
+        seq0, seq1 = data / "sequences" / "00", data / "sequences" / "01"
+        shutil.copytree(seq0, seq1)
+        for sub, suffix in (("velodyne", ".bin"), ("labels", ".label"), ("probs_2d", ".ptns")):
+            a, b = (seq1 / sub / f"{stem}{suffix}" for stem in ("000000", "000001"))
+            a.rename(tmp_path / "swap")
+            b.rename(a)
+            (tmp_path / "swap").rename(b)
+        lifted = tmp_path / "lifted"
+        assert run(["lift", "--dataset-root", data, "--output-root", lifted]) == 0
+        assert run(["slice", "--dataset-root", data, "--output-root", lifted]) == 0
+        sliced = tmp_path / "sliced"
+        assert run(["slice", "--dataset-root", data, "--output-root", sliced,
+                    "--masks", lifted]) == 0
+        files = {p.relative_to(sliced) for p in sliced.rglob("*") if p.is_file()}
+        assert len(files) == 12  # 2 sequences x 2 frames x (cloud, index map, labels)
+        for rel in files:
+            assert (sliced / rel).read_bytes() == (lifted / rel).read_bytes(), rel
+
 
 class TestTta:
     def test_emit_twelve_variants(self, corpus, tmp_path):
@@ -392,3 +420,51 @@ class TestMultiCamera:
         mask = io.read_tensor(out / "sequences" / "00" / "fov_mask" / "000000.ptns")
         assert mask.tolist() == [1, 1]
         np.testing.assert_allclose(probs, [[0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+
+
+class TestStartupImports:
+    """Each command imports only what it runs: a stray top-level import of
+    scipy.spatial, the synthetic generator or the process pool would cost
+    every command its load time."""
+
+    LAZY = ("scipy.spatial", "seglift.synthetic", "concurrent.futures.process")
+
+    @pytest.fixture(scope="class")
+    def piped(self, corpus, tmp_path_factory):
+        out = tmp_path_factory.mktemp("piped")
+        assert run(["pipeline", "--dataset-root", corpus, "--output-root", out,
+                    "--class-map", corpus / "class_map.csv"]) == 0
+        return out
+
+    def loaded(self, args):
+        """The LAZY modules present in a fresh interpreter after `main(args)` returns."""
+        code = ("import sys\n"
+                "from seglift.cli import main\n"
+                "try:\n"
+                "    rc = main(sys.argv[1:])\n"
+                "except SystemExit as exc:\n"
+                "    rc = exc.code\n"
+                f"print(rc, *[m for m in {self.LAZY!r} if m in sys.modules])\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(seglift.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        rc, *modules = proc.stdout.split("\n")[-2].split()
+        assert rc == "0", proc.stderr
+        return set(modules)
+
+    @pytest.mark.parametrize("command", ["stats", "threshold", "eval", "lift", "--help"])
+    def test_commands_without_a_tree_skip_lazy_modules(self, corpus, piped, tmp_path, command):
+        cm = ["--class-map", corpus / "class_map.csv"]
+        args = {
+            "stats": ["stats", "--output-root", piped, *cm],
+            "threshold": ["threshold", "--output-root", piped, *cm],
+            "eval": ["eval", "--gt", corpus / "sequences" / "00" / "labels",
+                     "--pred", piped / "sequences" / "00" / "pseudo_labels", *cm],
+            "lift": ["lift", "--dataset-root", corpus, "--output-root", tmp_path / "out"],
+            "--help": ["--help"],
+        }[command]
+        assert self.loaded(args) == set()
+
+    def test_refine_loads_scipy_spatial(self, corpus, piped):
+        assert self.loaded(["refine", "--dataset-root", corpus, "--output-root", piped]) \
+            == {"scipy.spatial"}

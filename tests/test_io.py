@@ -1,17 +1,21 @@
 """On-disk format round trips and typed failure modes."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from seglift import io
-from seglift.core import ClassMap, PointCloud
+from seglift.core import CalibrationRig, ClassMap, PointCloud
 from seglift.errors import (
     BadMagic,
     LengthError,
     ParseError,
     SizeMismatch,
+    ToolkitError,
     UnknownClassError,
     UnsupportedVersion,
 )
@@ -215,6 +219,34 @@ class TestTensor:
         with pytest.raises(ValueError):
             io.write_tensor(np.zeros(3, dtype=np.float64), tmp_path / "t.ptns")
 
+    @pytest.mark.parametrize("shape", [(), (0,), (5,), (0, 3), (3, 0), (2, 3), (2, 0, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("dtype", ["<f4", "<u1", "<u4"])
+    def test_roundtrip_every_dtype_and_ndim(self, tmp_path, dtype, shape):
+        arr = np.arange(int(np.prod(shape)), dtype=dtype).reshape(shape)
+        path = tmp_path / "t.ptns"
+        io.write_tensor(arr, path)
+        out = io.read_tensor(path)
+        assert out.dtype == arr.dtype and out.shape == shape
+        np.testing.assert_array_equal(out, arr)
+        assert out.flags.writeable and out.flags.owndata
+        out[...] = 1  # the result is the caller's to change
+        again = tmp_path / "again.ptns"
+        io.write_tensor(io.read_tensor(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_huge_dims_over_short_payload_allocate_nothing(self, tmp_path):
+        path = tmp_path / "t.ptns"
+        path.write_bytes(struct.pack("<4sBBI3I", b"PTNS", 1, 0, 3, 2**32 - 1, 2**32 - 1, 1000)
+                         + b"\x00" * 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeMismatch):
+                io.read_tensor(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestClassMapFile:
     def test_minimal(self, tmp_path):
@@ -300,3 +332,78 @@ def test_parsers_only_raise_typed_errors_on_garbage(tmp_path):
                 reader(path)
             except (ToolkitError, OSError):
                 pass  # typed failure is the contract
+
+
+def ptns_like(code, dims, tail, ndim=None):
+    """A PTNS header (declaring `ndim` dims, default len(dims)) followed by `tail`."""
+    ndim = len(dims) if ndim is None else ndim
+    return struct.pack(f"<4sBBI{len(dims)}I", b"PTNS", 1, code, ndim, *dims) + tail
+
+
+# Bytes that reach each parser's later checks, not just its first one.
+_FUZZ_BLOBS = st.one_of(
+    st.binary(max_size=300),
+    st.builds(ptns_like, st.integers(0, 3), st.lists(st.integers(0, 4), max_size=70),
+              st.binary(max_size=64), st.none() | st.integers(0, 2**32 - 1)),
+    st.builds(lambda t: t.encode(), st.text(alphabet="PTr20123456789.,-+e: \nnaifunlabeled",
+                                            max_size=300)),
+    st.builds(lambda p, t: f"P2: {' '.join(map(repr, p))}\nTr: {' '.join(map(repr, t))}\n".encode(),
+              st.lists(st.floats(), min_size=11, max_size=13),
+              st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e-9, float("nan")]), min_size=12, max_size=12)),
+    st.builds(lambda names: "".join(f"{i},{n}\n" for i, n in enumerate(names)).encode(),
+              st.lists(st.text(max_size=8), max_size=5)),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=_FUZZ_BLOBS)
+@example(blob=ptns_like(0, [0] * 70, b""))  # more dims than numpy allows
+def test_readers_return_valid_results_or_typed_errors(tmp_path, blob):
+    """Arbitrary bytes either read back as a valid artifact or raise a ToolkitError."""
+    path = tmp_path / "blob"
+    path.write_bytes(blob)
+    again = tmp_path / "again"
+
+    try:
+        arr = io.read_tensor(path)
+    except ToolkitError:
+        pass
+    else:
+        io.write_tensor(arr, again)
+        assert again.read_bytes() == blob
+
+    try:
+        cloud = io.read_cloud_bin(path)
+    except ToolkitError:
+        pass
+    else:
+        io.write_cloud_bin(cloud, again)
+        assert again.read_bytes() == blob
+
+    try:
+        labels, instances = io.read_labels(path)
+    except ToolkitError:
+        pass
+    else:
+        words = np.frombuffer(blob, dtype="<u4")
+        np.testing.assert_array_equal(labels, words & 0xFFFF)
+        np.testing.assert_array_equal(instances, words >> 16)
+
+    try:
+        rig = io.read_calib(path, image_size=(4, 4))
+    except ToolkitError:
+        pass
+    else:
+        assert isinstance(rig, CalibrationRig)
+        io.write_calib(rig, again)
+        back = io.read_calib(again, image_size=(4, 4))
+        np.testing.assert_array_equal(back.P, rig.P)
+        np.testing.assert_array_equal(back.T, rig.T)
+
+    try:
+        class_map = io.read_class_map(path)
+    except ToolkitError:
+        pass
+    else:
+        io.write_class_map(class_map, again)
+        assert io.read_class_map(again) == class_map

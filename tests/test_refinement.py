@@ -4,6 +4,7 @@ Label outputs must match the brute-force oracles bit-exactly, including
 under crafted distance ties and duplicated points.
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -364,3 +365,21 @@ def test_coincident_cluster_widens_probe_below_full_set(include_self):
     np.testing.assert_array_equal(idx, bidx)
     np.testing.assert_array_equal(dist, bdist)
     assert len(probes) >= 3 and max(probes) < len(xyz)
+
+
+def test_coincident_group_search_memory_is_bounded():
+    """2000 coincident points among 20k: the widening passes for their rows
+    must gather candidates in bounded chunks, not one c x 2c block."""
+    xyz = np.random.default_rng(23).uniform(-50, 50, (20000, 3))
+    xyz[:2000] = 0.0
+    tree = build_tree(cloud_from(xyz))
+    tracemalloc.start()
+    try:
+        idx, dist = tree.neighbors(19)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    for row in (0, 1000, 1999):
+        np.testing.assert_array_equal(idx[row], [row] + [j for j in range(19) if j != row][:18])
+        assert not dist[row].any()
