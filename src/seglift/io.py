@@ -80,8 +80,10 @@ def read_cloud_bin(path) -> PointCloud:
     if len(data) % _CLOUD_RECORD:
         raise LengthError(f"{path}: length {len(data)} not divisible by {_CLOUD_RECORD}")
     arr = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
+    with np.errstate(invalid="ignore"):  # a signalling NaN is rejected below
+        arr = arr.astype(np.float64)
     try:
-        return PointCloud.from_array(arr.astype(np.float64))
+        return PointCloud.from_array(arr)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -54,25 +54,38 @@ def _as_mask(mask, n: int) -> np.ndarray:
     return arr
 
 
+def _affine_rows(m: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> list:
+    # Rows 0-2 of m applied to [x, y, z, 1]: one float64 ufunc per term,
+    # summed left to right as plain Python floats are.  A BLAS product would
+    # wake OpenBLAS's helper thread and round through fused multiply-adds.
+    # Python's sum() starts from 0, so a row whose terms are all -0.0 sums
+    # to +0.0; adding +0.0 to the constant term does the same and changes
+    # no other sum.
+    return [r[0] * x + r[1] * y + r[2] * z + (r[3] + 0.0) for r in m[:3]]
+
+
 def project_points(cloud: PointCloud, rig: CalibrationRig):
     """Project points to pixel coordinates.
 
     Returns (u, v, depth): pixel coordinates from the homogeneous chain
-    P @ T @ [x, y, z, 1] and the camera-frame z after T.  Points with
-    depth <= 0 are behind the camera; their u, v are NaN, not errors.
+    P @ T @ [x, y, z, 1] and the camera-frame z after T.  Each product is
+    rounded term by term, so the result is bit-equal to the same chain
+    in plain Python floats.  Points with depth <= 0 are behind the
+    camera; their u, v are NaN, not errors.
     """
     n = len(cloud)
-    homo = np.empty((n, 4))
-    homo[:, :3] = cloud.xyz
-    homo[:, 3] = 1.0
-    cam = homo @ rig.T.T          # (N, 4) camera-frame
-    img = cam @ rig.P.T           # (N, 3) homogeneous pixels
-    depth = cam[:, 2]
+    # Contiguous coordinate rows multiply faster than xyz's strided columns.
+    cam = _affine_rows(rig.T, *np.ascontiguousarray(cloud.xyz.T))
+    depth = cam[2]
     valid = depth > 0.0
+    img = _affine_rows(rig.P, *(c[valid] for c in cam))
     u = np.full(n, np.nan)
     v = np.full(n, np.nan)
-    np.divide(img[:, 0], img[:, 2], out=u, where=valid)
-    np.divide(img[:, 1], img[:, 2], out=v, where=valid)
+    # A pixel too far off-axis for a float is inf or NaN; it fails every
+    # bound test, so it is simply out of view.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u[valid] = img[0] / img[2]
+        v[valid] = img[1] / img[2]
     return u, v, depth
 
 

@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,17 @@ class TestCloudBin:
         path.write_bytes(struct.pack("<4f", np.nan, 0.0, 0.0, 0.5))
         with pytest.raises(ParseError):
             io.read_cloud_bin(path)
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_signalling_nan_is_a_silent_parse_error(self, tmp_path, field):
+        words = [0x3F800000] * 4  # 1.0
+        words[field] = 0x7FA00000  # float32 signalling NaN
+        path = tmp_path / "snan.bin"
+        path.write_bytes(struct.pack("<4I", *words))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError):
+                io.read_cloud_bin(path)
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -310,30 +322,6 @@ def test_random_roundtrips_are_byte_identical(tmp_path):
         assert tsrc.read_bytes() == tdst.read_bytes()
 
 
-def test_parsers_only_raise_typed_errors_on_garbage(tmp_path):
-    """Arbitrary bytes must map to typed errors, never uncontrolled crashes."""
-    from seglift.errors import ToolkitError
-
-    rng = np.random.default_rng(99)
-    readers = (
-        io.read_cloud_bin,
-        io.read_labels,
-        io.read_tensor,
-        lambda p: io.read_calib(p, image_size=(4, 4)),
-        io.read_class_map,
-        io.read_remap,
-    )
-    for trial in range(40):
-        blob = rng.bytes(int(rng.integers(0, 200)))
-        path = tmp_path / f"garbage_{trial}"
-        path.write_bytes(blob)
-        for reader in readers:
-            try:
-                reader(path)
-            except (ToolkitError, OSError):
-                pass  # typed failure is the contract
-
-
 def ptns_like(code, dims, tail, ndim=None):
     """A PTNS header (declaring `ndim` dims, default len(dims)) followed by `tail`."""
     ndim = len(dims) if ndim is None else ndim
@@ -352,6 +340,8 @@ _FUZZ_BLOBS = st.one_of(
               st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e-9, float("nan")]), min_size=12, max_size=12)),
     st.builds(lambda names: "".join(f"{i},{n}\n" for i, n in enumerate(names)).encode(),
               st.lists(st.text(max_size=8), max_size=5)),
+    st.builds(lambda pairs: "".join(f"{a},{b}\n" for a, b in pairs).encode(),
+              st.lists(st.tuples(st.integers(-2, 0x10001), st.integers(-2, 0x10001)), max_size=6)),
 )
 
 
@@ -407,3 +397,12 @@ def test_readers_return_valid_results_or_typed_errors(tmp_path, blob):
     else:
         io.write_class_map(class_map, again)
         assert io.read_class_map(again) == class_map
+
+    try:
+        remap = io.read_remap(path)
+    except ToolkitError:
+        pass
+    else:
+        assert all(0 <= k <= 0xFFFF and 0 <= v <= 0xFFFF for k, v in remap.items())
+        again.write_text("".join(f"{k},{v}\n" for k, v in remap.items()))
+        assert io.read_remap(again) == remap

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import in_frustum_scalar
+from oracles import in_frustum_scalar, project_scalar
 from seglift.core import CalibrationRig, PointCloud
 from seglift.errors import DimMismatch, SizeMismatch
 from seglift.projection import (
@@ -213,3 +216,59 @@ def test_fov_mask_is_permutation_equivariant():
     base = fov_mask(cloud_of(pts), rig)
     permuted = fov_mask(cloud_of(pts[perm]), rig)
     np.testing.assert_array_equal(permuted.mask, base.mask[perm])
+
+
+def quaternion_rotation(w, x, y, z):
+    n = np.sqrt(w * w + x * x + y * y + z * z)
+    w, x, y, z = w / n, x / n, y / n, z / n
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+@st.composite
+def rigs_and_points(draw):
+    """A proper rotation, a translation, a KITTI-like P with skew and a
+    fourth column, and points of which some are behind the camera."""
+    quat = draw(st.tuples(*[st.floats(-1, 1)] * 4).filter(
+        lambda q: sum(c * c for c in q) > 0.01))
+    t = np.eye(4)
+    t[:3, :3] = quaternion_rotation(*quat)
+    t[:3, 3] = draw(arrays(np.float64, 3, elements=st.floats(-3, 3)))
+    f = st.floats(50, 1000)
+    p = np.array([
+        [draw(f), draw(st.floats(-5, 5)), draw(st.floats(0, 1300)), draw(st.floats(-400, 400))],
+        [0.0, draw(f), draw(st.floats(0, 400)), draw(st.floats(-5, 5))],
+        [0.0, 0.0, 1.0, draw(st.floats(0, 0.01))],
+    ])
+    rig = CalibrationRig(P=p, T=t, width=1241, height=376)
+    xyz = draw(arrays(np.float64, (draw(st.integers(0, 40)), 3), elements=st.floats(-60, 60)))
+    # Camera-frame points at depth -1 mapped back to the sensor frame.
+    behind = (np.array([[0.0, 0.0, -1.0], [5.0, -2.0, -1.0]]) - t[:3, 3]) @ t[:3, :3]
+    return rig, np.vstack([xyz, behind])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rigs_and_points())
+# Every term of the depth row is -0.0; Python's sum() still gives +0.0.
+@example((simple_rig(t=np.array([[1.0, -0.0, -0.0, -0.0], [-0.0, 1.0, -0.0, -0.0],
+                                  [-0.0, -0.0, 1.0, -0.0], [0.0, 0.0, 0.0, 1.0]])),
+          np.array([[1.0, 1.0, -0.0], [0.0, 0.0, 5.0]])))
+# u = 100 / 1e-308 overflows to inf: out of view, and no warning.
+@example((simple_rig(), np.array([[1.0, 0.0, 1e-308], [0.0, 0.0, -1.0]])))
+def test_projection_bit_equal_to_scalar_oracle(case):
+    rig, xyz = case
+    u, v, depth = project_points(cloud_of(xyz), rig)
+    p_mat, t_mat = rig.P.tolist(), rig.T.tolist()
+    expected = [project_scalar(p_mat, t_mat, q) for q in xyz]
+    behind = np.array([e[2] <= 0.0 for e in expected], dtype=bool)
+    assert behind.any()
+    for got, want in ((u, [e[0] for e in expected]), (v, [e[1] for e in expected])):
+        np.testing.assert_array_equal(np.isnan(got), behind)
+        want = np.array([np.nan if w is None else w for w in want])
+        assert got[~behind].tobytes() == want[~behind].tobytes()
+    assert depth.tobytes() == np.array([e[2] for e in expected]).tobytes()
+    assert fov_mask(cloud_of(xyz), rig).mask.tolist() == [
+        in_frustum_scalar(p_mat, t_mat, rig.width, rig.height, q) for q in xyz]

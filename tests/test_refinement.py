@@ -19,7 +19,7 @@ from oracles import (
     knn_brute,
     majority_brute,
 )
-from seglift.core import PointCloud
+from seglift.core import IGNORE_ID, PointCloud
 from seglift.errors import BadK, DimMismatch, EmptyInput
 from seglift.refinement import (
     _votes,
@@ -383,3 +383,28 @@ def test_coincident_group_search_memory_is_bounded():
     for row in (0, 1000, 1999):
         np.testing.assert_array_equal(idx[row], [row] + [j for j in range(19) if j != row][:18])
         assert not dist[row].any()
+
+
+@st.composite
+def duplicated_clouds(draw):
+    """Integer-grid points (duplicates common), probabilities with tied
+    argmax rows, and a mask selecting at least one point."""
+    n = draw(st.integers(1, 80))
+    xyz = draw(arrays(np.int64, (n, 3), elements=st.integers(0, 2))).astype(np.float64)
+    probs = draw(arrays(np.int64, (n, 4), elements=st.integers(0, 3))).astype(np.float64) / 4
+    mask = draw(arrays(np.bool_, n)) | (np.arange(n) == draw(st.integers(0, n - 1)))
+    return xyz, probs, mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(duplicated_clouds())
+def test_k1_with_self_is_identity_for_every_scheme(case):
+    xyz, probs, mask = case
+    tree = build_tree(cloud_from(xyz), mask)
+    own = np.where(mask, probs.argmax(axis=1), IGNORE_ID).astype(np.uint16)
+    for tie_break in ("lowest", "keep"):
+        np.testing.assert_array_equal(refine_majority(probs, tree, 1, True, tie_break), own)
+    np.testing.assert_array_equal(refine_distance_weighted(probs, tree, 1, True), own)
+    labels, refined = refine_confidence_avg(probs, tree, 1, True)
+    np.testing.assert_array_equal(labels, own)
+    np.testing.assert_array_equal(refined, np.where(mask[:, None], probs, 0.0))

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import class_thresholds_scalar
 from seglift.errors import EmptyHistogram, NonFiniteValue, SizeMismatch, UnknownClassError
@@ -165,3 +168,20 @@ class TestApplyThreshold:
             _, reduction = apply_threshold(labels, conf, taus)
             assert reduction >= last
             last = reduction
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 60).flatmap(lambda n: st.tuples(
+           arrays(np.uint16, n, elements=st.integers(0, 4)),
+           arrays(np.float64, n, elements=_UNIT))),
+       st.lists(_UNIT, min_size=2, max_size=6))
+def test_static_removed_fraction_never_falls_as_tau_rises(scan, taus):
+    labels, conf = scan
+    outs = [apply_threshold(labels, conf, static_thresholds(ThresholdConfig.static(tau), 5))
+            for tau in sorted(taus)]
+    for (lo, lo_red), (hi, hi_red) in zip(outs, outs[1:]):
+        assert lo_red <= hi_red
+        assert not ((hi != 0) & (lo == 0)).any()  # a higher tau keeps a subset
