@@ -26,10 +26,12 @@ import numpy as np
 from . import io, soup, tta
 from .config import REFINEMENT_SCHEMES, PipelineConfig, read_config
 from .core import IGNORE_ID
-from .errors import ConfigError, NonFiniteValue, ToolkitError, UnknownClassError
+from .errors import (ConfigError, DimMismatch, FormatError, NonFiniteValue, NotADistribution,
+                     ToolkitError, UnknownClassError)
 from .evaluation import ConfusionMatrix, report
 from .projection import FovMask, lift_probs, merge_lifted, slice_cloud
-from .refinement import build_tree, refine_confidence_avg, refine_distance_weighted, refine_majority
+from .refinement import (Neighborhood, build_tree, graph_distances, refine_confidence_avg,
+                         refine_distance_weighted, refine_majority)
 from .thresholding import apply_threshold, class_thresholds, histogram, static_thresholds
 
 # Sub-directory names inside each sequence.
@@ -46,6 +48,10 @@ D_LABELS_FOV = "labels_fov"
 D_INDEX = "index_map"
 D_TTA = "tta"
 D_AGG = "probs_agg"
+D_KNN = "knn"
+
+# Part of every graph key: change it when the stored graph's meaning changes.
+KNN_FORMAT = b"seglift-knn-v1"
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +147,10 @@ def _lift(cfg: PipelineConfig, scan: Scan):
             raise ConfigError(f"{path}: teacher map must be (H, W, C)")
         size = cfg.image_size or (prob_map.shape[1], prob_map.shape[0])
         rig = io.read_calib(scan.calib, image_size=size, camera=cam)
-        p, m = lift_probs(prob_map, cloud, rig, sampling=cfg.lift_sampling)
+        try:
+            p, m = lift_probs(prob_map, cloud, rig, sampling=cfg.lift_sampling)
+        except NotADistribution as exc:
+            raise NotADistribution(f"{path}: {exc}") from exc
         lifted.append(p)
         masks.append(m)
     if len(lifted) == 1:
@@ -153,6 +162,49 @@ def _lift(cfg: PipelineConfig, scan: Scan):
     return cloud, probs, mask
 
 
+def _prune_graphs(scan: Scan, keep: Path | None = None) -> None:
+    """Delete this scan's stored graphs other than `keep`; other scans' files stay."""
+    knn = scan.out / D_KNN
+    if knn.is_dir():
+        for path in knn.iterdir():
+            # <stem>.<key>.ptns: the stem itself may hold dots
+            if path.name.rsplit(".", 2)[0] == scan.stem and path != keep:
+                path.unlink(missing_ok=True)
+
+
+def _neighborhood(scan: Scan, cloud, mask: FovMask, k: int, include_self: bool,
+                  with_dist: bool) -> tuple[Neighborhood, Path | None]:
+    """The scan's exact K-neighbor graph, read from knn/ when its key matches.
+
+    The file name carries a digest of the in-FOV xyz, k, include_self and
+    KNN_FORMAT, so a lookup is one stat.  A hit imports no scipy and
+    rebuilds the distances only when `with_dist`; it returns no path.  A
+    miss returns a graph over a new kd-tree, which the refine call searches
+    on first use, and the path to store the graph at.  (A search ahead of
+    the refine call left more freed heap untrimmed on some scans, raising
+    the peak RSS of a jobs-1 pipeline.)
+    """
+    import hashlib  # only refinement needs it; it costs every command ~6 ms to import
+
+    points = np.ascontiguousarray(cloud.xyz[mask.index_map], dtype=np.float64)
+    key = hashlib.blake2b(KNN_FORMAT, digest_size=8)
+    key.update(points.tobytes())
+    key.update(f"k={k},include_self={include_self}".encode())
+    path = scan.output(D_KNN, f".{key.hexdigest()}.ptns")
+    if path.is_file():
+        idx = io.read_tensor(path)
+        m = len(points)
+        if idx.dtype != np.uint32 or idx.shape != (m, k):
+            raise DimMismatch(f"{path}: neighbor graph is {idx.dtype} {idx.shape}, "
+                              f"expected uint32 ({m}, {k})")
+        if idx.max() >= m:
+            raise FormatError(f"{path}: neighbor {idx.max()} outside {m} indexed points")
+        dist = graph_distances(points, idx) if with_dist else None
+        return Neighborhood(mask.index_map, len(cloud), k, include_self, idx=idx, dist=dist), None
+    return Neighborhood(mask.index_map, len(cloud), k, include_self,
+                        tree=build_tree(cloud, mask)), path
+
+
 def _refine(cfg: PipelineConfig, scan: Scan, cloud, probs: np.ndarray, mask: FovMask) -> np.ndarray:
     """Refine one lifted scan, write its labels and confidences; returns the label counts."""
     ref = cfg.refinement
@@ -160,19 +212,24 @@ def _refine(cfg: PipelineConfig, scan: Scan, cloud, probs: np.ndarray, mask: Fov
     # (keeping it odd) and fall back to all-ignore when nothing is indexed.
     limit = mask.count if ref.include_self else mask.count - 1
     if limit < 1:
+        _prune_graphs(scan)
         labels = np.zeros(len(cloud), dtype=np.uint16)
         conf = np.zeros(len(cloud), dtype=np.float32)
     else:
-        tree = build_tree(cloud, mask)
         k = min(ref.k, limit)
         if k % 2 == 0:
             k -= 1
+        graph, store = _neighborhood(scan, cloud, mask, k, ref.include_self,
+                                     with_dist=ref.scheme == "distance_weighted")
         if ref.scheme == "majority":
-            labels = refine_majority(probs, tree, k, ref.include_self, ref.tie_break)
+            labels = refine_majority(probs, graph, k, ref.include_self, ref.tie_break)
         elif ref.scheme == "distance_weighted":
-            labels = refine_distance_weighted(probs, tree, k, ref.include_self)
+            labels = refine_distance_weighted(probs, graph, k, ref.include_self)
         else:  # the confidence is read from the averaged rows
-            labels, probs = refine_confidence_avg(probs, tree, k, ref.include_self)
+            labels, probs = refine_confidence_avg(probs, graph, k, ref.include_self)
+        if store is not None:  # a miss: keep the graph the refine searched
+            io.write_tensor(graph.idx.astype(np.uint32), store)
+            _prune_graphs(scan, keep=store)
         conf = probs.max(axis=1).astype(np.float32)
     io.write_labels(labels, scan.output(D_REFINED, ".label"))
     io.write_tensor(conf, scan.output(D_CONF))

@@ -42,6 +42,10 @@ class NonFiniteValue(ToolkitError):
     """A value that must be finite is NaN or infinite."""
 
 
+class NotADistribution(ToolkitError):
+    """A probability row has an entry outside [0, 1] (or NaN) or does not sum to 1."""
+
+
 class UnknownClassError(ToolkitError):
     """A label value falls outside the configured class map."""
 

@@ -2,10 +2,12 @@
 
 Pixel lookup uses nearest-pixel (floor) sampling by default so lifted
 rows are exact rows of the input map; bilinear sampling is available as
-an option.  Pixel bounds are half-open: [0, W) x [0, H).  There is no
-occlusion test; points behind foreground surfaces still receive the
-foreground pixel's distribution, which is exactly the label bleeding the
-KNN refinement stage repairs.
+an option.  Every pixel a point samples must hold a probability row
+(entries in [0, 1], summing to 1 within ROW_SUM_TOLERANCE); pixels no
+point samples are not checked.  Pixel bounds are half-open:
+[0, W) x [0, H).  There is no occlusion test; points behind foreground
+surfaces still receive the foreground pixel's distribution, which is
+exactly the label bleeding the KNN refinement stage repairs.
 """
 
 from __future__ import annotations
@@ -15,9 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CalibrationRig, PointCloud
-from .errors import DimMismatch, SizeMismatch
+from .errors import DimMismatch, NotADistribution, SizeMismatch
 
 SAMPLING_MODES = ("nearest", "bilinear")
+
+# How far a sampled teacher row's sum may stray from 1.
+ROW_SUM_TOLERANCE = 1e-3
 
 
 @dataclass
@@ -143,10 +148,30 @@ def lift_probs(prob_map: np.ndarray, cloud: PointCloud, rig: CalibrationRig,
     if idx.size:
         uu, vv = u[idx], v[idx]
         if sampling == "nearest":
-            probs[idx] = prob_map[np.floor(vv).astype(np.int64), np.floor(uu).astype(np.int64)]
+            probs[idx] = _sampled_rows(prob_map, np.floor(vv).astype(np.int64),
+                                       np.floor(uu).astype(np.int64))
         else:
             probs[idx] = _bilinear(prob_map, uu, vv)
     return probs, mask
+
+
+def _sampled_rows(prob_map: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The map rows at pixels (x, y); NotADistribution names the first that is no distribution.
+
+    Each entry must lie in [0, 1] (NaN does not) and the row must sum to 1
+    within ROW_SUM_TOLERANCE.
+    """
+    rows = prob_map[y, x]
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = rows.sum(axis=1, dtype=np.float64)
+        bad = ~(((rows >= 0.0) & (rows <= 1.0)).all(axis=1)
+                & (np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NotADistribution(
+            f"pixel (u={x[i]}, v={y[i]}) is not a probability row: entries in "
+            f"[{rows[i].min()}, {rows[i].max()}], sum {sums[i]}")
+    return rows
 
 
 def _bilinear(prob_map: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -159,10 +184,12 @@ def _bilinear(prob_map: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     y0 = np.floor(y).astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
+    c00, c01, c10, c11 = (_sampled_rows(prob_map, yy, xx)
+                          for yy, xx in ((y0, x0), (y0, x1), (y1, x0), (y1, x1)))
     fx = (x - x0)[:, None]
     fy = (y - y0)[:, None]
-    top = prob_map[y0, x0] * (1 - fx) + prob_map[y0, x1] * fx
-    bot = prob_map[y1, x0] * (1 - fx) + prob_map[y1, x1] * fx
+    top = c00 * (1 - fx) + c01 * fx
+    bot = c10 * (1 - fx) + c11 * fx
     return (top * (1 - fy) + bot * fy).astype(np.float32)
 
 

@@ -12,6 +12,10 @@ distance, not-self, index) and widened, doubling, until it extends past
 the tie group at the cut: its farthest candidate lies strictly beyond the
 last neighbor kept, or it holds every point.
 
+A `Neighborhood` hands the schemes one graph, stored or searched on
+first use, in place of a KdTree; `graph_distances` rebuilds a stored
+graph's distances with the search's own expression, so they are bit-equal.
+
 Votes are summed by one `np.bincount` over the row-major (M, K) neighbor
 layout, so each (point, class) bin adds in neighbor order and its float
 sum is reproducible against a direct per-point reimplementation.
@@ -80,7 +84,7 @@ class KdTree:
         m = len(self)
         _, raw = self._kd.query(self.points[rows], k=kq)
         raw = raw.reshape(rows.size, kq)
-        rd2 = ((self.points[raw] - self.points[rows, None, :]) ** 2).sum(axis=2)
+        rd2 = _squared_distances(self.points, raw, rows)
         order = np.lexsort((raw, raw != rows[:, None], rd2), axis=-1)
         raw = np.take_along_axis(raw, order, axis=1)
         rd2 = np.take_along_axis(rd2, order, axis=1)
@@ -90,6 +94,41 @@ class KdTree:
         idx[rows[done]] = raw[done, skip:skip + k]
         d2[rows[done]] = rd2[done, skip:skip + k]
         return rows[~done]
+
+
+def _squared_distances(points: np.ndarray, idx: np.ndarray, rows) -> np.ndarray:
+    """Squared distances from `points[rows]` to their candidates `points[idx]`."""
+    return ((points[idx] - points[rows, None, :]) ** 2).sum(axis=2)
+
+
+def graph_distances(points: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Distances along a stored (M, k) graph, bit-equal to those `KdTree.neighbors` returns."""
+    return np.sqrt(_squared_distances(points, idx, slice(None)))
+
+
+@dataclass(eq=False)
+class Neighborhood:
+    """The neighbor graph of one (k, include_self) over an indexed subset; refines like a KdTree.
+
+    The graph is either given (`idx`, plus `dist` when a scheme needs
+    distances) or searched in `tree` by the first `neighbors` call and kept.
+    """
+
+    index_map: np.ndarray               # (M,) positions of the subset in the original cloud
+    n_total: int                        # size of the original cloud
+    k: int
+    include_self: bool
+    tree: KdTree | None = None
+    idx: np.ndarray | None = None       # (M, k) positions in the indexed subset
+    dist: np.ndarray | None = None      # (M, k) distances
+
+    def neighbors(self, k: int, include_self: bool = True):
+        if (k, include_self) != (self.k, self.include_self):
+            raise BadK(f"graph holds k={self.k}, include_self={self.include_self}; "
+                       f"asked for k={k}, include_self={include_self}")
+        if self.idx is None:
+            self.idx, self.dist = self.tree.neighbors(k, include_self)
+        return self.idx, self.dist
 
 
 def build_tree(cloud: PointCloud, mask=None) -> KdTree:
@@ -110,15 +149,16 @@ def build_tree(cloud: PointCloud, mask=None) -> KdTree:
     return KdTree(points=pts, index_map=index_map, n_total=n, _kd=cKDTree(pts))
 
 
-def _checked_probs(probs: np.ndarray, tree: KdTree, k: int) -> np.ndarray:
-    probs = np.asarray(probs, dtype=np.float64)
+def _indexed_probs(probs: np.ndarray, tree: KdTree, k: int) -> np.ndarray:
+    """The indexed rows of `probs` as float64, once its shape and `k` are checked."""
+    probs = np.asarray(probs)
     if probs.ndim != 2 or probs.shape[0] != tree.n_total:
         raise DimMismatch(
             f"probs must be ({tree.n_total}, C), got {probs.shape}"
         )
     if k % 2 == 0:
         raise BadK(f"k must be odd, got {k}")
-    return probs
+    return probs[tree.index_map].astype(np.float64, copy=False)
 
 
 def _scatter_labels(tree: KdTree, winners: np.ndarray) -> np.ndarray:
@@ -145,8 +185,7 @@ def refine_majority(probs: np.ndarray, tree: KdTree, k: int,
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
-    probs = _checked_probs(probs, tree, k)
-    sub = probs[tree.index_map]
+    sub = _indexed_probs(probs, tree, k)
     labels = np.argmax(sub, axis=1)
     idx, _ = tree.neighbors(k, include_self)
     votes = _votes(labels[idx], sub.shape[1])
@@ -165,8 +204,7 @@ def refine_distance_weighted(probs: np.ndarray, tree: KdTree, k: int,
     Closer neighbors carry more weight; equal distances degrade to plain
     majority voting.  Ties resolve to the lowest class id.
     """
-    probs = _checked_probs(probs, tree, k)
-    sub = probs[tree.index_map]
+    sub = _indexed_probs(probs, tree, k)
     labels = np.argmax(sub, axis=1)
     idx, dist = tree.neighbors(k, include_self)
     e = np.exp(dist - dist.max(axis=1, keepdims=True))
@@ -188,8 +226,7 @@ def refine_confidence_avg(probs: np.ndarray, tree: KdTree, k: int,
     outside the indexed subset.  Averaging normalized rows keeps the
     output normalized.
     """
-    probs = _checked_probs(probs, tree, k)
-    sub = probs[tree.index_map]
+    sub = _indexed_probs(probs, tree, k)
     idx, _ = tree.neighbors(k, include_self)
     acc = np.zeros_like(sub)
     for j in range(k):

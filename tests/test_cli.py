@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import seglift
+import seglift.cli
 from seglift import io
 from seglift.cli import main
 
@@ -422,6 +423,158 @@ class TestMultiCamera:
         np.testing.assert_allclose(probs, [[0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
 
 
+def graphs(out):
+    """Stored neighbor graph files of sequence 00, by name."""
+    return sorted(p.name for p in (out / "sequences" / "00" / "knn").glob("*.ptns"))
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Cloud sizes of the refinements that built a kd-tree (graph misses), in call order."""
+    calls = []
+    build = seglift.cli.build_tree
+
+    def counted(cloud, mask=None):
+        calls.append(len(cloud))
+        return build(cloud, mask)
+
+    monkeypatch.setattr(seglift.cli, "build_tree", counted)
+    return calls
+
+
+class TestKnnGraphReuse:
+    """`refine` stores each scan's neighbor graph under knn/ and reuses it
+    while the in-FOV points, k and include_self are unchanged."""
+
+    @pytest.fixture(scope="class")
+    def lifted(self, corpus, tmp_path_factory):
+        out = tmp_path_factory.mktemp("lifted")
+        assert run(["lift", "--dataset-root", corpus, "--output-root", out]) == 0
+        return out
+
+    def refine(self, root, out, *flags, config=None):
+        cfg = ["--config", config] if config else []
+        return run(["refine", *cfg, "--dataset-root", root, "--output-root", out, *flags])
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("scheme", ["majority", "distance_weighted", "confidence_avg"])
+    def test_hit_and_miss_trees_are_identical(self, corpus, lifted, tmp_path, searches,
+                                              scheme, include_self):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"refinement": {"include_self": include_self}}))
+        miss, hit = tmp_path / "miss", tmp_path / "hit"
+        shutil.copytree(lifted, miss)
+        shutil.copytree(lifted, hit)
+        assert self.refine(corpus, miss, "--scheme", scheme, config=cfg) == 0
+        other = "majority" if scheme != "majority" else "confidence_avg"
+        assert self.refine(corpus, hit, "--scheme", other, config=cfg) == 0
+        assert len(searches) == 4
+        assert self.refine(corpus, hit, "--scheme", scheme, config=cfg) == 0
+        assert len(searches) == 4  # the second refine of `hit` searched nothing
+        assert graphs(miss) == graphs(hit) and len(graphs(hit)) == 2
+        assert tree_digest(miss) == tree_digest(hit)
+
+    @pytest.mark.parametrize("change", ["k", "include_self", "one point", "fov mask"])
+    def test_a_changed_key_forces_a_search(self, corpus, lifted, tmp_path, searches, change):
+        root, out, fresh = tmp_path / "data", tmp_path / "out", tmp_path / "fresh"
+        shutil.copytree(corpus, root)
+        shutil.copytree(lifted, out)
+        assert self.refine(root, out) == 0
+        before = graphs(out)
+        seq = out / "sequences" / "00"
+        kept = (seq / "knn" / before[1]).stat()
+        flags, cfg = [], None
+        if change == "k":
+            flags = ["--k", "5"]
+        elif change == "include_self":
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps({"refinement": {"include_self": False}}))
+        elif change == "one point":
+            velo = root / "sequences" / "00" / "velodyne" / "000000.bin"
+            cloud = io.read_cloud_bin(velo)
+            inside = np.flatnonzero(io.read_tensor(seq / "fov_mask" / "000000.ptns"))[0]
+            cloud.xyz[inside] += 1e-3
+            io.write_cloud_bin(cloud, velo)
+        else:
+            mask_path = seq / "fov_mask" / "000000.ptns"
+            mask = io.read_tensor(mask_path)
+            mask[np.flatnonzero(mask == 0)[0]] = 1
+            io.write_tensor(mask, mask_path)
+        del searches[:]
+        shutil.copytree(out, fresh)
+        shutil.rmtree(fresh / "sequences" / "00" / "knn")
+        assert self.refine(root, out, *flags, config=cfg) == 0
+        after = graphs(out)
+        assert len(after) == 2 and after[0] != before[0]
+        if change in ("one point", "fov mask"):  # the other scan's graph is reused untouched
+            assert len(searches) == 1 and after[1] == before[1]
+            assert (seq / "knn" / after[1]).stat().st_mtime_ns == kept.st_mtime_ns
+        else:
+            assert len(searches) == 2 and after[1] != before[1]
+        assert self.refine(root, fresh, *flags, config=cfg) == 0
+        assert tree_digest(out) == tree_digest(fresh)
+
+    @pytest.mark.parametrize("damage", ["shape", "index", "dtype", "garbage"])
+    def test_malformed_graph_is_typed_error_naming_it(self, corpus, lifted, tmp_path, capsys,
+                                                      damage):
+        out = tmp_path / "out"
+        shutil.copytree(lifted, out)
+        assert self.refine(corpus, out) == 0
+        path = out / "sequences" / "00" / "knn" / graphs(out)[0]
+        graph = io.read_tensor(path)
+        if damage == "shape":
+            io.write_tensor(graph[:, :-2].copy(), path)
+        elif damage == "index":
+            graph[3, 4] = graph.shape[0]
+            io.write_tensor(graph, path)
+        elif damage == "dtype":
+            io.write_tensor(graph.astype(np.float32), path)
+        else:
+            path.write_bytes(b"not a tensor")
+        capsys.readouterr()
+        assert self.refine(corpus, out) == 1
+        assert str(path) in capsys.readouterr().err
+
+    def test_jobs_do_not_change_the_tree(self, corpus, tmp_path):
+        trees = []
+        for jobs in (1, 2):
+            out = tmp_path / f"j{jobs}"
+            assert run(["pipeline", "--dataset-root", corpus, "--output-root", out,
+                        "--class-map", corpus / "class_map.csv", "--jobs", jobs]) == 0
+            assert len(graphs(out)) == 2
+            trees.append(tree_digest(out))
+        assert trees[0] == trees[1]
+
+    def test_graph_layout_and_sparse_scans(self, tmp_path):
+        root = tmp_path / "data"
+        write_sparse_dataset(root)
+        out = tmp_path / "out"
+        assert run(["pipeline", "--dataset-root", root, "--output-root", out,
+                    "--class-map", root / "class_map.csv"]) == 0
+        # k=19 clamps to the 3 in-view points of 000000; 000001 sees none and stores nothing.
+        [name] = graphs(out)
+        stem, digest, suffix = name.split(".")
+        assert stem == "000000" and len(digest) == 16 and suffix == "ptns"
+        graph = io.read_tensor(out / "sequences" / "00" / "knn" / name)
+        assert graph.dtype == np.uint32 and graph.tolist() == [[0, 1, 2], [1, 0, 2], [2, 0, 1]]
+
+
+class TestTeacherMapValidation:
+    @pytest.mark.parametrize("command", ["lift", "pipeline"])
+    @pytest.mark.parametrize("row", [[-0.5, 1.0, 0.5], [1.0, 1.0, 1.0], [np.nan, 0.5, 0.5]],
+                             ids=["negative", "sums-to-three", "nan"])
+    def test_bad_sampled_row_names_map_and_pixel(self, tmp_path, capsys, command, row):
+        root = tmp_path / "data"
+        write_sparse_dataset(root)
+        teacher = root / "sequences" / "00" / "probs_2d" / "000000.ptns"
+        prob_map = io.read_tensor(teacher)
+        prob_map[1, 0] = row  # sampled by the in-view point (0.5, 1.5, 1.0)
+        io.write_tensor(prob_map, teacher)
+        assert run([command, "--dataset-root", root, "--output-root", tmp_path / "out",
+                    "--class-map", root / "class_map.csv"]) == 1
+        assert f"{teacher}: pixel (u=0, v=1)" in capsys.readouterr().err
+
+
 class TestStartupImports:
     """Each command imports only what it runs: a stray top-level import of
     scipy.spatial, the synthetic generator or the process pool would cost
@@ -465,6 +618,11 @@ class TestStartupImports:
         }[command]
         assert self.loaded(args) == set()
 
-    def test_refine_loads_scipy_spatial(self, corpus, piped):
-        assert self.loaded(["refine", "--dataset-root", corpus, "--output-root", piped]) \
+    def test_refine_loads_scipy_spatial(self, corpus, tmp_path):
+        out = tmp_path / "out"
+        assert run(["lift", "--dataset-root", corpus, "--output-root", out]) == 0
+        assert self.loaded(["refine", "--dataset-root", corpus, "--output-root", out]) \
             == {"scipy.spatial"}
+        # The graphs that refine stored serve another scheme without a kd-tree.
+        assert self.loaded(["refine", "--dataset-root", corpus, "--output-root", out,
+                            "--scheme", "distance_weighted"]) == set()

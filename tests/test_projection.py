@@ -8,8 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import in_frustum_scalar, project_scalar
 from seglift.core import CalibrationRig, PointCloud
-from seglift.errors import DimMismatch, SizeMismatch
+from seglift.errors import DimMismatch, NotADistribution, SizeMismatch
 from seglift.projection import (
+    ROW_SUM_TOLERANCE,
     FovMask,
     fov_mask,
     lift_probs,
@@ -187,6 +188,61 @@ class TestLiftProbs:
         probs, mask = lift_probs(prob_map, cloud, rig, sampling="bilinear")
         sums = probs[mask.mask].sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-5)
+
+
+# Rows that are not probability distributions, one per way to fail.
+BAD_ROWS = {
+    "negative": [-0.25, 0.75, 0.5],
+    "above-one": [1.5, -0.25, -0.25],
+    "sums-to-three": [1.0, 1.0, 1.0],
+    "nan": [np.nan, 0.5, 0.5],
+    "inf": [np.inf, 0.0, 0.0],
+    "sum-off-by-tolerance": [0.5, 0.5 - 2 * ROW_SUM_TOLERANCE, 0.0],
+}
+
+
+class TestTeacherRows:
+    """Lift checks exactly the pixels its points sample, and names the first bad one."""
+
+    RIG = simple_rig(f=50.0, cx=32.0, cy=24.0, width=64, height=48)
+
+    def lifted_pixels(self, seed, sampling):
+        rng = np.random.default_rng(seed)
+        prob_map = rng.dirichlet(np.ones(3), size=(48, 64)).astype(np.float32)
+        cloud = cloud_of(rng.uniform(-1, 1, (40, 3)) + [0, 0, 4.0])
+        u, v, _ = project_points(cloud, self.RIG)
+        mask = lift_probs(prob_map, cloud, self.RIG, sampling=sampling)[1]
+        return prob_map, cloud, u[mask.mask], v[mask.mask]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**16), st.sampled_from(sorted(BAD_ROWS)),
+           st.sampled_from(["nearest", "bilinear"]), st.data())
+    def test_bad_sampled_row_names_its_pixel(self, seed, kind, sampling, data):
+        prob_map, cloud, u, v = self.lifted_pixels(seed, sampling)
+        if sampling == "nearest":
+            x, y = int(u[0]), int(v[0])
+        else:  # any corner of the first point's bilinear footprint
+            x = int(np.clip(u[0] - 0.5, 0, 63)) + data.draw(st.integers(0, 1))
+            y = int(np.clip(v[0] - 0.5, 0, 47)) + data.draw(st.integers(0, 1))
+            x, y = min(x, 63), min(y, 47)
+        prob_map[y, x] = BAD_ROWS[kind]
+        with pytest.raises(NotADistribution, match=fr"pixel \(u={x}, v={y}\)"):
+            lift_probs(prob_map, cloud, self.RIG, sampling=sampling)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+    def test_bad_row_no_point_samples_is_not_read(self, kind):
+        prob_map, cloud, u, v = self.lifted_pixels(5, "nearest")
+        unsampled = np.ones((48, 64), dtype=bool)
+        unsampled[v.astype(np.int64), u.astype(np.int64)] = False
+        y, x = np.argwhere(unsampled)[0]
+        prob_map[y, x] = BAD_ROWS[kind]
+        probs, mask = lift_probs(prob_map, cloud, self.RIG)
+        assert mask.count == len(u)
+
+    def test_rows_within_tolerance_pass(self):
+        prob_map = np.full((48, 64, 3), (1.0 - 0.5 * ROW_SUM_TOLERANCE) / 3, dtype=np.float32)
+        cloud = cloud_of(np.random.default_rng(6).uniform(-1, 1, (40, 3)) + [0, 0, 4.0])
+        assert lift_probs(prob_map, cloud, self.RIG)[1].count > 0
 
 
 class TestMergeLifted:

@@ -22,8 +22,10 @@ from oracles import (
 from seglift.core import IGNORE_ID, PointCloud
 from seglift.errors import BadK, DimMismatch, EmptyInput
 from seglift.refinement import (
+    Neighborhood,
     _votes,
     build_tree,
+    graph_distances,
     refine_confidence_avg,
     refine_distance_weighted,
     refine_majority,
@@ -348,6 +350,42 @@ def test_neighbors_bit_equal_to_oracle_on_integer_grids(query):
     bidx, bdist = knn_brute(xyz, k, include_self)
     np.testing.assert_array_equal(idx, bidx)
     np.testing.assert_array_equal(dist, bdist)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_queries(), st.floats(1e-3, 10.0),
+       arrays(np.float64, 3, elements=st.floats(-100.0, 100.0)))
+def test_stored_graph_distances_bit_equal_to_search(query, spacing, offset):
+    """Distances rebuilt from a graph as stored (uint32) equal the search's,
+    on shifted grids whose coordinates round; ties and duplicates are common."""
+    xyz, k, include_self = query
+    tree = build_tree(cloud_from(xyz * spacing + offset))
+    idx, dist = tree.neighbors(k, include_self)
+    np.testing.assert_array_equal(graph_distances(tree.points, idx.astype(np.uint32)), dist)
+
+
+@pytest.mark.parametrize("include_self", [True, False])
+def test_every_scheme_refines_a_stored_graph_like_its_tree(include_self):
+    xyz = np.round(np.random.default_rng(31).uniform(0, 4, (300, 3)))  # many ties
+    mask = np.random.default_rng(32).random(300) < 0.7
+    probs = random_probs(300, 5, 33)
+    tree = build_tree(cloud_from(xyz), mask)
+    idx, _ = tree.neighbors(7, include_self)
+    stored = idx.astype(np.uint32)
+    graph = Neighborhood(tree.index_map, tree.n_total, 7, include_self, idx=stored,
+                         dist=graph_distances(tree.points, stored))
+    for tie_break in ("lowest", "keep"):
+        np.testing.assert_array_equal(refine_majority(probs, graph, 7, include_self, tie_break),
+                                      refine_majority(probs, tree, 7, include_self, tie_break))
+    np.testing.assert_array_equal(refine_distance_weighted(probs, graph, 7, include_self),
+                                  refine_distance_weighted(probs, tree, 7, include_self))
+    for a, b in zip(refine_confidence_avg(probs, graph, 7, include_self),
+                    refine_confidence_avg(probs, tree, 7, include_self)):
+        np.testing.assert_array_equal(a, b)
+    with pytest.raises(BadK):
+        refine_majority(probs, graph, 5, include_self)
+    with pytest.raises(BadK):
+        refine_majority(probs, graph, 7, not include_self)
 
 
 @pytest.mark.parametrize("include_self", [True, False])
