@@ -7,25 +7,23 @@ segmentation evaluation.  The ``seglift`` CLI chains the stages over
 datasets in the standard odometry layout.
 """
 
-from .core import IGNORE_ID, CalibrationRig, ClassMap, PointCloud, RigidTransform
-from .projection import FovMask, fov_mask, lift_probs, project_points, slice_cloud
-from .refinement import (
-    KdTree,
-    build_tree,
-    refine_confidence_avg,
-    refine_distance_weighted,
-    refine_majority,
-)
-from .thresholding import (
-    ThresholdConfig,
-    apply_threshold,
-    class_thresholds,
-    histogram,
-    static_thresholds,
-)
-from .evaluation import ConfusionMatrix, accumulate, iou, report
-from .tta import TtaVariant, aggregate_tta, default_variants, emit_variants
-from .soup import SoupResult, greedy_soup
+from importlib import import_module
+
+# The public names of each submodule.  They resolve on first use (PEP 562),
+# so `import seglift` loads no numpy: `python -m seglift.cli` imports this
+# package before the CLI can pin OpenBLAS's threads.
+_SUBMODULES = {
+    "core": ("IGNORE_ID", "CalibrationRig", "ClassMap", "PointCloud", "RigidTransform"),
+    "projection": ("FovMask", "fov_mask", "lift_probs", "project_points", "slice_cloud"),
+    "refinement": ("KdTree", "build_tree", "refine_confidence_avg", "refine_distance_weighted",
+                   "refine_majority"),
+    "thresholding": ("ThresholdConfig", "apply_threshold", "class_thresholds", "histogram",
+                     "static_thresholds"),
+    "evaluation": ("ConfusionMatrix", "accumulate", "iou", "report"),
+    "tta": ("TtaVariant", "aggregate_tta", "default_variants", "emit_variants"),
+    "soup": ("SoupResult", "greedy_soup"),
+}
+_EXPORTS = {name: module for module, names in _SUBMODULES.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -62,3 +60,15 @@ __all__ = [
     "static_thresholds",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -15,11 +15,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
+
+# `--jobs` worker processes are seglift's only parallelism and no command
+# makes a BLAS call, so an OpenBLAS thread pool could only spin.  OpenBLAS
+# reads its thread count once, when numpy (or scipy, in build_tree) loads
+# it, so the pin precedes every numpy import; a caller's value wins.
+# `soup` runs its metric command without the pin.
+_PINNED = "OPENBLAS_NUM_THREADS" not in os.environ
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -243,10 +252,12 @@ def _lift_only(cfg: PipelineConfig, scan: Scan) -> None:
 def _refine_stored(cfg: PipelineConfig, scan: Scan) -> np.ndarray:
     cloud = io.read_cloud_bin(scan.cloud)
     probs = io.read_tensor(scan.output(D_PROBS3D))
-    mask = FovMask(io.read_tensor(scan.output(D_MASK)).astype(bool))
-    if len(mask) != len(cloud) or probs.shape[0] != len(cloud):
-        raise ConfigError(f"{scan.output(D_PROBS3D)}: lift outputs do not match the cloud")
-    return _refine(cfg, scan, cloud, probs, mask)
+    mask = io.read_tensor(scan.output(D_MASK))
+    for subdir, arr, ndim in ((D_MASK, mask, 1), (D_PROBS3D, probs, 2)):
+        if arr.ndim != ndim or arr.shape[0] != len(cloud):
+            raise DimMismatch(f"{scan.output(subdir)}: shape {arr.shape} does not fit "
+                              f"the {len(cloud)} points of {scan.cloud}")
+    return _refine(cfg, scan, cloud, probs, FovMask(mask.astype(bool)))
 
 
 def _lift_refine(cfg: PipelineConfig, scan: Scan) -> np.ndarray:
@@ -484,7 +495,11 @@ def cmd_tta(args) -> int:
 
 
 def cmd_soup(args) -> int:
-    result = soup.greedy_soup(args.candidates, shlex.split(args.eval_cmd))
+    env = dict(os.environ)  # the caller's environment: the metric command may use BLAS
+    if _PINNED:
+        env.pop("OPENBLAS_NUM_THREADS", None)
+    evaluate = partial(soup.evaluate_weights, shlex.split(args.eval_cmd), env=env)
+    result = soup.greedy_soup(args.candidates, evaluate)
     io.write_tensor(result.vector, args.out)
     log_path = args.log or (str(args.out) + ".log.json")
     with io.atomic_write(log_path) as fh:

@@ -7,10 +7,11 @@ self-inclusion, neighbor 0 is the query at distance 0 and K=1 is the
 identity refinement).  The tie rules make results independent of thread
 count, build order, and the underlying search structure.
 
-Exactness rule: each row's kd-tree probe is re-sorted on (squared
-distance, not-self, index) and widened, doubling, until it extends past
-the tie group at the cut: its farthest candidate lies strictly beyond the
-last neighbor kept, or it holds every point.
+Exactness rule: each row's kd-tree probe is put in (squared distance,
+not-self, index) order, lexsorting only the probes that are not in it
+already, and widened, doubling, until it extends past the tie group at
+the cut: its farthest candidate lies strictly beyond the last neighbor
+kept, or it holds every point.
 
 A `Neighborhood` hands the schemes one graph, stored or searched on
 first use, in place of a KdTree; `graph_distances` rebuilds a stored
@@ -85,9 +86,15 @@ class KdTree:
         _, raw = self._kd.query(self.points[rows], k=kq)
         raw = raw.reshape(rows.size, kq)
         rd2 = _squared_distances(self.points, raw, rows)
-        order = np.lexsort((raw, raw != rows[:, None], rd2), axis=-1)
-        raw = np.take_along_axis(raw, order, axis=1)
-        rd2 = np.take_along_axis(rd2, order, axis=1)
+        # A probe whose d2 strictly increases and that leads with the query
+        # is already in contract order; re-sort only the others.
+        resort = (rd2[:, 1:] <= rd2[:, :-1]).any(axis=1) | (raw[:, 0] != rows)
+        if resort.any():
+            r = np.flatnonzero(resort)
+            sub, sub_d2 = raw[r], rd2[r]
+            order = np.lexsort((sub, sub != rows[r, None], sub_d2), axis=-1)
+            raw[r] = np.take_along_axis(sub, order, axis=1)
+            rd2[r] = np.take_along_axis(sub_d2, order, axis=1)
         # Every point outside the probe is at least as far as its last
         # candidate, so a strictly farther last candidate settles the row.
         done = (rd2[:, -1] > rd2[:, skip + k - 1]) | (kq == m)
@@ -97,8 +104,16 @@ class KdTree:
 
 
 def _squared_distances(points: np.ndarray, idx: np.ndarray, rows) -> np.ndarray:
-    """Squared distances from `points[rows]` to their candidates `points[idx]`."""
-    return ((points[idx] - points[rows, None, :]) ** 2).sum(axis=2)
+    """Squared distances from `points[rows]` to their candidates `points[idx]`.
+
+    Summed as (dx² + dy²) + dz² over contiguous coordinate columns: the
+    order of numpy's sum over an (..., 3) axis, which the oracles use.
+    """
+    x, y, z = (np.ascontiguousarray(points[:, axis]) for axis in range(3))
+    d2 = (x[idx] - x[rows, None]) ** 2
+    d2 += (y[idx] - y[rows, None]) ** 2
+    d2 += (z[idx] - z[rows, None]) ** 2
+    return d2
 
 
 def graph_distances(points: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -52,11 +52,12 @@ class SoupResult:
         ]
 
 
-def evaluate_weights(eval_command, weight_path) -> float:
-    """Run the metric command on one weight file; parse its stdout scalar."""
+def evaluate_weights(eval_command, weight_path, env=None) -> float:
+    """Run the metric command on one weight file (in `env`, else this process's
+    environment); parse its stdout scalar."""
     argv = [str(a) for a in eval_command] + [str(weight_path)]
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     except OSError as exc:
         raise EvalCommandFailed(f"cannot run {argv[0]!r}: {exc}") from exc
     if proc.returncode != 0:

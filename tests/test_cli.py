@@ -390,6 +390,19 @@ class TestExitCodes:
         assert run(["threshold", "--output-root", out,
                     "--class-map", corpus / "class_map.csv"]) == 2
 
+    @pytest.mark.parametrize("subdir", ["fov_mask", "probs_3d"])
+    def test_lift_output_not_fitting_the_cloud_names_its_file(self, corpus, tmp_path, capsys,
+                                                              subdir):
+        out = tmp_path / "out"
+        base = ["--dataset-root", corpus, "--output-root", out]
+        assert run(["lift", *base]) == 0
+        path = out / "sequences" / "00" / subdir / "000000.ptns"
+        io.write_tensor(io.read_tensor(path)[:-5], path)
+        capsys.readouterr()
+        assert run(["refine", *base]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: shape" in err and "does not fit" in err
+
 
 class TestMultiCamera:
     def test_lift_averages_overlapping_cameras(self, tmp_path):
@@ -575,6 +588,39 @@ class TestTeacherMapValidation:
         assert f"{teacher}: pixel (u=0, v=1)" in capsys.readouterr().err
 
 
+def fresh_python(code, *args, blas=None) -> str:
+    """Last stdout line of `code` run in a fresh interpreter on this checkout's
+    seglift, with OPENBLAS_NUM_THREADS set to `blas` or, when None, unset."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(seglift.__file__).parents[1])
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split("\n")[-2]
+
+
+FRESH_MAIN = """\
+import json, os, sys
+from seglift.cli import main
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:
+    rc = exc.code
+task = "/proc/self/task"
+print(json.dumps({"rc": rc, "modules": sorted(sys.modules),
+                  "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "threads": len(os.listdir(task)) if os.path.isdir(task) else None}))
+"""
+
+
+def fresh_main(args, blas=None) -> dict:
+    """`main(args)` in a fresh interpreter: its exit code, the modules loaded,
+    its OPENBLAS_NUM_THREADS and its OS thread count when it returns."""
+    return json.loads(fresh_python(FRESH_MAIN, *args, blas=blas))
+
+
 class TestStartupImports:
     """Each command imports only what it runs: a stray top-level import of
     scipy.spatial, the synthetic generator or the process pool would cost
@@ -591,19 +637,9 @@ class TestStartupImports:
 
     def loaded(self, args):
         """The LAZY modules present in a fresh interpreter after `main(args)` returns."""
-        code = ("import sys\n"
-                "from seglift.cli import main\n"
-                "try:\n"
-                "    rc = main(sys.argv[1:])\n"
-                "except SystemExit as exc:\n"
-                "    rc = exc.code\n"
-                f"print(rc, *[m for m in {self.LAZY!r} if m in sys.modules])\n")
-        env = {**os.environ, "PYTHONPATH": str(Path(seglift.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
-                              capture_output=True, text=True, timeout=120, check=True)
-        rc, *modules = proc.stdout.split("\n")[-2].split()
-        assert rc == "0", proc.stderr
-        return set(modules)
+        report = fresh_main(args)
+        assert report["rc"] == 0
+        return set(self.LAZY) & set(report["modules"])
 
     @pytest.mark.parametrize("command", ["stats", "threshold", "eval", "lift", "--help"])
     def test_commands_without_a_tree_skip_lazy_modules(self, corpus, piped, tmp_path, command):
@@ -626,3 +662,56 @@ class TestStartupImports:
         # The graphs that refine stored serve another scheme without a kd-tree.
         assert self.loaded(["refine", "--dataset-root", corpus, "--output-root", out,
                             "--scheme", "distance_weighted"]) == set()
+
+
+class TestBlasThreads:
+    """The CLI pins OpenBLAS to one thread before numpy loads it: no command
+    makes a BLAS call, so a helper thread could only spin.  A caller's value
+    wins, and `soup` runs its metric command in the caller's environment."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads are read from /proc")
+    @pytest.mark.parametrize("command", ["pipeline", "refine", "stats"])
+    def test_commands_end_with_one_thread(self, corpus, tmp_path, command):
+        out = tmp_path / "out"
+        data = ["--dataset-root", corpus, "--output-root", out]
+        cm = ["--class-map", corpus / "class_map.csv"]
+        if command != "pipeline":
+            assert run(["lift", *data]) == 0
+        if command == "stats":
+            assert run(["refine", *data]) == 0
+        args = {"pipeline": ["pipeline", *data, *cm, "--jobs", "1"],
+                "refine": ["refine", *data],  # no knn/ yet: a graph miss builds a tree
+                "stats": ["stats", "--output-root", out, *cm]}[command]
+        report = fresh_main(args)
+        assert (report["rc"], report["blas"], report["threads"]) == (0, "1", 1)
+        assert ("scipy.spatial" in report["modules"]) == (command != "stats")
+
+    def test_pin_defaults_to_one_and_a_caller_value_wins(self):
+        assert fresh_main(["--help"])["blas"] == "1"
+        assert fresh_main(["--help"], blas="2")["blas"] == "2"
+
+    def test_package_import_loads_no_numpy_and_leaves_the_environment(self):
+        code = ("import os, sys\n"
+                "before = dict(os.environ)\n"
+                "import seglift\n"
+                "assert 'numpy' not in sys.modules\n"
+                "assert set(seglift.__all__) <= set(dir(seglift))\n"
+                "from seglift import *\n"
+                "assert lift_probs is seglift.lift_probs and 'seglift.projection' in sys.modules\n"
+                "print(dict(os.environ) == before, 'seglift.cli' in sys.modules)\n")
+        assert fresh_python(code) == "True False"
+
+    def test_soup_runs_its_metric_command_in_the_caller_environment(self, tmp_path):
+        seen = tmp_path / "seen.txt"
+        script = tmp_path / "metric.py"
+        script.write_text("import os\n"
+                          f"with open({str(seen)!r}, 'a') as fh:\n"
+                          "    fh.write(os.environ.get('OPENBLAS_NUM_THREADS', 'unset') + '\\n')\n"
+                          "print(1.0)\n")
+        weights = tmp_path / "w.ptns"
+        io.write_tensor(np.zeros(1, dtype=np.float32), weights)
+        for blas, pinned in ((None, "1"), ("2", "2")):
+            report = fresh_main(["soup", "--candidates", weights, "--out", tmp_path / "soup.ptns",
+                                 "--eval-cmd", f"{sys.executable} {script}"], blas=blas)
+            assert (report["rc"], report["blas"]) == (0, pinned)  # the soup process itself
+        assert seen.read_text().split() == ["unset", "2"]

@@ -342,9 +342,25 @@ def grid_queries(draw):
     return xyz.astype(np.float64), k, include_self
 
 
+@st.composite
+def continuous_queries(draw):
+    """Up to 200 uniform float points (ties are rare, so most probes are
+    already in order and skip the re-sort), an include_self flag and any k."""
+    include_self = draw(st.booleans())
+    skip = 0 if include_self else 1
+    n = draw(st.integers(1 + skip, 200))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    xyz = np.random.default_rng(seed).uniform(-scale, scale, (n, 3))
+    k = draw(st.integers(1, n - skip))
+    return xyz, k, include_self
+
+
 @settings(max_examples=60, deadline=None)
-@given(grid_queries())
+@given(st.one_of(grid_queries(), continuous_queries()))
 def test_neighbors_bit_equal_to_oracle_on_integer_grids(query):
+    """Integer grids (mostly re-sorted tie rows) and continuous clouds
+    (mostly rows that skip the re-sort) against the exhaustive oracle."""
     xyz, k, include_self = query
     idx, dist = build_tree(cloud_from(xyz)).neighbors(k, include_self)
     bidx, bdist = knn_brute(xyz, k, include_self)
