@@ -27,39 +27,7 @@ _EXPORTS = {name: module for module, names in _SUBMODULES.items() for name in na
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "IGNORE_ID",
-    "CalibrationRig",
-    "ClassMap",
-    "ConfusionMatrix",
-    "FovMask",
-    "KdTree",
-    "PointCloud",
-    "RigidTransform",
-    "SoupResult",
-    "ThresholdConfig",
-    "TtaVariant",
-    "accumulate",
-    "aggregate_tta",
-    "apply_threshold",
-    "build_tree",
-    "class_thresholds",
-    "default_variants",
-    "emit_variants",
-    "fov_mask",
-    "greedy_soup",
-    "histogram",
-    "iou",
-    "lift_probs",
-    "project_points",
-    "refine_confidence_avg",
-    "refine_distance_weighted",
-    "refine_majority",
-    "report",
-    "slice_cloud",
-    "static_thresholds",
-    "__version__",
-]
+__all__ = [*sorted(_EXPORTS), "__version__"]
 
 
 def __getattr__(name: str):

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import io, soup, tta
 from .config import REFINEMENT_SCHEMES, PipelineConfig, read_config
-from .core import IGNORE_ID
+from .core import IGNORE_ID, ClassMap
 from .errors import (ConfigError, DimMismatch, FormatError, NonFiniteValue, NotADistribution,
                      ToolkitError, UnknownClassError)
 from .evaluation import ConfusionMatrix, report
@@ -149,12 +149,11 @@ def _lift(cfg: PipelineConfig, scan: Scan):
     freed before refinement runs.
     """
     cloud = io.read_cloud_bin(scan.cloud)
+    width, height = cfg.image_size or (None, None)
     lifted, masks = [], []
     for cam, path in scan.teacher_maps(cfg.cameras).items():
-        prob_map = io.read_tensor(path)
-        if prob_map.ndim != 3:
-            raise ConfigError(f"{path}: teacher map must be (H, W, C)")
-        size = cfg.image_size or (prob_map.shape[1], prob_map.shape[0])
+        prob_map = io.read_tensor(path, shape=(height, width, None))
+        size = (prob_map.shape[1], prob_map.shape[0])
         rig = io.read_calib(scan.calib, image_size=size, camera=cam)
         try:
             p, m = lift_probs(prob_map, cloud, rig, sampling=cfg.lift_sampling)
@@ -201,11 +200,10 @@ def _neighborhood(scan: Scan, cloud, mask: FovMask, k: int, include_self: bool,
     key.update(f"k={k},include_self={include_self}".encode())
     path = scan.output(D_KNN, f".{key.hexdigest()}.ptns")
     if path.is_file():
-        idx = io.read_tensor(path)
         m = len(points)
-        if idx.dtype != np.uint32 or idx.shape != (m, k):
-            raise DimMismatch(f"{path}: neighbor graph is {idx.dtype} {idx.shape}, "
-                              f"expected uint32 ({m}, {k})")
+        idx = io.read_tensor(path, shape=(m, k))
+        if idx.dtype != np.uint32:
+            raise DimMismatch(f"{path}: neighbor graph is {idx.dtype}, expected uint32")
         if idx.max() >= m:
             raise FormatError(f"{path}: neighbor {idx.max()} outside {m} indexed points")
         dist = graph_distances(points, idx) if with_dist else None
@@ -251,12 +249,8 @@ def _lift_only(cfg: PipelineConfig, scan: Scan) -> None:
 
 def _refine_stored(cfg: PipelineConfig, scan: Scan) -> np.ndarray:
     cloud = io.read_cloud_bin(scan.cloud)
-    probs = io.read_tensor(scan.output(D_PROBS3D))
-    mask = io.read_tensor(scan.output(D_MASK))
-    for subdir, arr, ndim in ((D_MASK, mask, 1), (D_PROBS3D, probs, 2)):
-        if arr.ndim != ndim or arr.shape[0] != len(cloud):
-            raise DimMismatch(f"{scan.output(subdir)}: shape {arr.shape} does not fit "
-                              f"the {len(cloud)} points of {scan.cloud}")
+    probs = io.read_tensor(scan.output(D_PROBS3D), shape=(len(cloud), None))
+    mask = io.read_tensor(scan.output(D_MASK), shape=(len(cloud),))
     return _refine(cfg, scan, cloud, probs, FovMask(mask.astype(bool)))
 
 
@@ -264,9 +258,9 @@ def _lift_refine(cfg: PipelineConfig, scan: Scan) -> np.ndarray:
     return _refine(cfg, scan, *_lift(cfg, scan))
 
 
-def _cut(thresholds: np.ndarray, scan: Scan):
-    labels, _ = io.read_labels(scan.output(D_REFINED, ".label"))
-    conf = io.read_tensor(scan.output(D_CONF)).astype(np.float64)
+def _cut(class_map: ClassMap, thresholds: np.ndarray, scan: Scan):
+    labels, _ = io.read_labels(scan.output(D_REFINED, ".label"), class_map=class_map)
+    conf = io.read_tensor(scan.output(D_CONF), shape=labels.shape).astype(np.float64)
     try:
         out, _ = apply_threshold(labels, conf, thresholds)
     except NonFiniteValue as exc:
@@ -279,14 +273,12 @@ def _cut(thresholds: np.ndarray, scan: Scan):
 
 def _slice(masks: str | None, scan: Scan) -> None:
     cloud = io.read_cloud_bin(scan.cloud)
-    sliced, index_map = slice_cloud(cloud, io.read_tensor(scan.fov_mask(masks)).astype(bool))
+    sliced, index_map = slice_cloud(cloud, io.read_tensor(scan.fov_mask(masks), shape=(len(cloud),)))
     io.write_cloud_bin(sliced, scan.output(D_SLICED, ".bin"))
     io.write_tensor(index_map.astype(np.uint32), scan.output(D_INDEX))
     label_path = scan.seq / D_LABELS / f"{scan.stem}.label"
     if label_path.exists():
-        labels, _ = io.read_labels(label_path)
-        if labels.shape[0] != len(cloud):
-            raise ConfigError(f"{label_path}: label count does not match the cloud")
+        labels, _ = io.read_labels(label_path, count=len(cloud))
         io.write_labels(labels[index_map], scan.output(D_LABELS_FOV, ".label"))
 
 
@@ -297,7 +289,9 @@ def _tta_emit(_, scan: Scan) -> None:
 
 
 def _tta_aggregate(subdir: str, scan: Scan) -> None:
-    tensors = [io.read_tensor(path) for path in scan.variants(subdir)]
+    first, *rest = scan.variants(subdir)
+    tensors = [io.read_tensor(first)]
+    tensors += [io.read_tensor(path, shape=tensors[0].shape) for path in rest]
     io.write_tensor(tta.aggregate_tta(tensors), scan.output(D_AGG))
 
 
@@ -344,7 +338,7 @@ def _class_counts(scans: list[Scan], counts: list[np.ndarray], num_classes: int)
     return total
 
 
-def _threshold(cfg: PipelineConfig, scans: list[Scan], num_classes: int, counts=None) -> None:
+def _threshold(cfg: PipelineConfig, scans: list[Scan], class_map: ClassMap, counts=None) -> None:
     """Cut the refined labels of `scans`; write thresholds.csv and reduction.csv.
 
     Class-balanced mode uses the corpus `counts`, read from histogram.csv when not given.
@@ -352,18 +346,18 @@ def _threshold(cfg: PipelineConfig, scans: list[Scan], num_classes: int, counts=
     out_root = Path(cfg.output_root)
     tcfg = cfg.threshold
     if tcfg.mode == "static":
-        thresholds = static_thresholds(tcfg, num_classes)
+        thresholds = static_thresholds(tcfg, class_map.num_classes)
     else:
         if counts is None:
             hist_path = out_root / "histogram.csv"
             if not hist_path.exists():
                 raise ConfigError(f"{hist_path}: run `seglift stats` first (class-balanced mode)")
-            counts = _read_histogram_csv(hist_path, num_classes)
+            counts = _read_histogram_csv(hist_path, class_map.num_classes)
         thresholds = class_thresholds(counts, tcfg)
     with io.atomic_write(out_root / "thresholds.csv") as fh:
         fh.write("".join(f"{i},{t:.12f}\n" for i, t in enumerate(thresholds)).encode())
 
-    results = _run(_cut, thresholds, scans, cfg.jobs)
+    results = _run(partial(_cut, class_map), thresholds, scans, cfg.jobs)
     removed = sum(r for _, r, _ in results)
     labeled = sum(n for _, _, n in results)
     frac = removed / labeled if labeled else 0.0
@@ -438,8 +432,8 @@ def cmd_stats(args) -> int:
 
 def cmd_threshold(args) -> int:
     cfg = _config(args, "output_root", "class_map")
-    num_classes = io.read_class_map(cfg.class_map).num_classes
-    _threshold(cfg, _scans(cfg.output_root, cfg.output_root, D_REFINED, ".label"), num_classes)
+    class_map = io.read_class_map(cfg.class_map)
+    _threshold(cfg, _scans(cfg.output_root, cfg.output_root, D_REFINED, ".label"), class_map)
     return 0
 
 
@@ -462,10 +456,10 @@ def cmd_eval(args) -> int:
     matrices = []
     for stem in stems:
         gt, _ = io.read_labels(gt_dir / f"{stem}.label", class_map=class_map, remap=remap)
-        pred, _ = io.read_labels(pred_dir / f"{stem}.label", class_map=class_map)
+        pred, _ = io.read_labels(pred_dir / f"{stem}.label", class_map=class_map, count=len(gt))
         mask = None
         if args.masks:
-            mask = io.read_tensor(Path(args.masks) / f"{stem}.ptns").astype(bool)
+            mask = io.read_tensor(Path(args.masks) / f"{stem}.ptns", shape=gt.shape).astype(bool)
         matrices.append(ConfusionMatrix(class_map.num_classes).update(gt, pred, mask))
     result = report(matrices, class_map)
     print(result.to_text())
@@ -512,14 +506,14 @@ def cmd_soup(args) -> int:
 def cmd_pipeline(args) -> int:
     """Lift and refine each scan in one pass, then cut the run's own scans."""
     cfg = _config(args, "dataset_root", "output_root", "class_map")
-    num_classes = io.read_class_map(cfg.class_map).num_classes
+    class_map = io.read_class_map(cfg.class_map)
     scans = _lift_inputs(cfg)
-    counts = _class_counts(scans, _run(_lift_refine, cfg, scans, cfg.jobs), num_classes)
+    counts = _class_counts(scans, _run(_lift_refine, cfg, scans, cfg.jobs), class_map.num_classes)
     print(f"lift: {len(scans)} scans -> {cfg.output_root}")
     print(f"refine[{cfg.refinement.scheme}, k={cfg.refinement.k}]: {len(scans)} scans")
     if cfg.threshold.mode == "class_balanced":
         _write_histogram(cfg.output_root, counts)
-    _threshold(cfg, scans, num_classes, counts)
+    _threshold(cfg, scans, class_map, counts)
     print(f"pipeline: pseudo-labels in {cfg.output_root}")
     return 0
 

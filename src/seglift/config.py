@@ -37,7 +37,7 @@ class PipelineConfig:
     image_size: tuple[int, int] | None = None
     lift_sampling: str = "nearest"
     refinement: RefinementConfig = field(default_factory=RefinementConfig)
-    threshold: ThresholdConfig = field(default_factory=lambda: ThresholdConfig(0.8, 0.95))
+    threshold: ThresholdConfig = ThresholdConfig(0.8, 0.95)  # frozen, so one shared default
     jobs: int = 1
 
 
@@ -83,8 +83,8 @@ def _parse_threshold(raw: dict) -> ThresholdConfig:
         "tau_min": ((int, float), lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
         "tau_max": ((int, float), lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
     })
-    tau_min = float(vals.get("tau_min", 0.8))
-    tau_max = float(vals.get("tau_max", 0.95))
+    tau_min = float(vals.get("tau_min", PipelineConfig.threshold.tau_min))
+    tau_max = float(vals.get("tau_max", PipelineConfig.threshold.tau_max))
     _expect(tau_min <= tau_max, "threshold: need tau_min <= tau_max")
     return ThresholdConfig(tau_min, tau_max, "class_balanced")
 

@@ -70,6 +70,14 @@ def atomic_write(path):
         raise
 
 
+def _fit(path, dims, shape) -> None:
+    """Raise DimMismatch naming `path` unless `dims` fits `shape`, where None matches any size."""
+    if shape is not None and (len(dims) != len(shape)
+                              or any(s is not None and s != d for d, s in zip(dims, shape))):
+        want = ", ".join("any" if s is None else str(s) for s in shape)
+        raise DimMismatch(f"{path}: shape {tuple(dims)} does not fit the expected ({want})")
+
+
 # ---------------------------------------------------------------------------
 # Point clouds
 
@@ -99,7 +107,8 @@ def write_cloud_bin(cloud: PointCloud, path) -> None:
 # Labels
 
 
-def read_labels(path, class_map: ClassMap | None = None, remap: dict[int, int] | None = None):
+def read_labels(path, class_map: ClassMap | None = None, remap: dict[int, int] | None = None,
+                count: int | None = None):
     """Read a .label file.
 
     Returns (labels, instances): semantic class ids (uint16) and the
@@ -107,12 +116,14 @@ def read_labels(path, class_map: ClassMap | None = None, remap: dict[int, int] |
     raw semantic ids are translated through it first; if `class_map` is
     given every resulting id must fall inside it.
 
-    Raises LengthError on bad file length, UnknownClassError on ids that
-    survive remapping but are not in the class map.
+    Raises LengthError on bad file length, DimMismatch when the file does
+    not hold `count` labels, UnknownClassError on ids that survive
+    remapping but are not in the class map.
     """
     data = Path(path).read_bytes()
     if len(data) % _LABEL_RECORD:
         raise LengthError(f"{path}: length {len(data)} not divisible by {_LABEL_RECORD}")
+    _fit(path, (len(data) // _LABEL_RECORD,), None if count is None else (count,))
     words = np.frombuffer(data, dtype="<u4")
     labels = (words & 0xFFFF).astype(np.uint16)
     instances = (words >> 16).astype(np.uint16)
@@ -208,11 +219,12 @@ def write_calib(rig: CalibrationRig, path, camera: int = 2) -> None:
 # PTNS tensors
 
 
-def read_tensor(path) -> np.ndarray:
+def read_tensor(path, shape: tuple[int | None, ...] | None = None) -> np.ndarray:
     """Read a PTNS container into a new array (C-order, native little-endian).
 
-    The header is checked against the file size before anything is
-    allocated, and the payload is read straight into the returned array.
+    The header is checked against the expected `shape` (a None entry
+    matches any size) and the file size before anything is allocated, and
+    the payload is read straight into the returned array.
     """
     with open(path, "rb") as fh:
         head = fh.read(10)
@@ -232,6 +244,7 @@ def read_tensor(path) -> np.ndarray:
         if ndim > _MAX_NDIM:
             raise DimMismatch(f"{path}: ndim {ndim} exceeds {_MAX_NDIM}")
         dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+        _fit(path, dims, shape)
         dtype = _DTYPES[dtype_code]
         expected = math.prod(dims) * dtype.itemsize
         if size - header_end != expected:

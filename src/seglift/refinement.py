@@ -31,6 +31,7 @@ import numpy as np
 
 from .core import IGNORE_ID, PointCloud
 from .errors import BadK, DimMismatch, EmptyInput
+from .projection import _as_mask
 
 # scipy.spatial takes most of the package's import time and only build_tree
 # needs it, so it imports it there; commands that build no tree never load it.
@@ -152,10 +153,7 @@ def build_tree(cloud: PointCloud, mask=None) -> KdTree:
     if mask is None:
         index_map = np.arange(n)
     else:
-        arr = mask.mask if hasattr(mask, "mask") else np.asarray(mask, dtype=bool)
-        if arr.shape != (n,):
-            raise DimMismatch(f"mask length {arr.shape} vs {n} points")
-        index_map = np.flatnonzero(arr)
+        index_map = np.flatnonzero(_as_mask(mask, n))
     if index_map.size == 0:
         raise EmptyInput("mask selects no points")
     from scipy.spatial import cKDTree

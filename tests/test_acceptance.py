@@ -9,10 +9,8 @@ reproducible here and are not asserted; mechanism-level properties
 """
 
 import hashlib
-import json
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest

@@ -404,6 +404,75 @@ class TestExitCodes:
         assert f"{path}: shape" in err and "does not fit" in err
 
 
+def cut_rows(path):
+    """Drop the last 3 rows of a tensor, or the last 3 labels of a label file."""
+    if path.suffix == ".label":
+        path.write_bytes(path.read_bytes()[:-12])
+    else:
+        io.write_tensor(io.read_tensor(path)[:-3], path)
+
+
+class TestFilesThatDoNotFit:
+    """Every file a command reads for a scan is checked against the shape that
+    scan expects: a misfit exits 1 naming the file, never as a config error."""
+
+    @pytest.fixture(scope="class")
+    def piped(self, corpus, tmp_path_factory):
+        out = tmp_path_factory.mktemp("piped")
+        assert run(["pipeline", "--dataset-root", corpus, "--output-root", out,
+                    "--class-map", corpus / "class_map.csv"]) == 0
+        return out
+
+    @pytest.mark.parametrize("row", [
+        "lift-teacher-map", "pipeline-teacher-map", "refine-fov-mask", "refine-probs-3d",
+        "refine-knn-graph", "slice-fov-mask", "slice-labels", "threshold-confidences",
+        "threshold-static-refined-labels", "eval-pred", "eval-masks", "tta-aggregate-variant",
+    ])
+    def test_misfit_exits_one_naming_the_file(self, corpus, piped, tmp_path, capsys, row):
+        data, out = tmp_path / "data", tmp_path / "out"
+        shutil.copytree(corpus, data)
+        shutil.copytree(piped, out)
+        src, dst = data / "sequences" / "00", out / "sequences" / "00"
+        roots = ["--dataset-root", data, "--output-root", out]
+        cm = ["--class-map", data / "class_map.csv"]
+        evaluate = ["eval", "--gt", src / "labels", "--pred", dst / "pseudo_labels", *cm]
+        command, path = {
+            "lift-teacher-map": (["lift", *roots], src / "probs_2d" / "000001.ptns"),
+            "pipeline-teacher-map": (["pipeline", *roots, *cm], src / "probs_2d" / "000001.ptns"),
+            "refine-fov-mask": (["refine", *roots], dst / "fov_mask" / "000001.ptns"),
+            "refine-probs-3d": (["refine", *roots], dst / "probs_3d" / "000001.ptns"),
+            "refine-knn-graph": (["refine", *roots], *(dst / "knn").glob("000001.*.ptns")),
+            "slice-fov-mask": (["slice", *roots], dst / "fov_mask" / "000001.ptns"),
+            "slice-labels": (["slice", *roots], src / "labels" / "000001.label"),
+            "threshold-confidences": (["threshold", "--output-root", out, *cm],
+                                      dst / "confidences" / "000001.ptns"),
+            "threshold-static-refined-labels": (
+                ["threshold", "--output-root", out, *cm, "--mode", "static", "--tau", "0.5"],
+                dst / "refined_labels" / "000001.label"),
+            "eval-pred": (evaluate, dst / "pseudo_labels" / "000001.label"),
+            "eval-masks": ([*evaluate, "--masks", dst / "fov_mask"],
+                           dst / "fov_mask" / "000001.ptns"),
+            "tta-aggregate-variant": (["tta", "aggregate", *roots], src / "tta" / "000001_v05.ptns"),
+        }[row]
+        if row.startswith("tta"):
+            for stem in ("000000", "000001"):
+                for i in range(12):
+                    io.write_tensor(np.full((4, 3), 0.25, np.float32),
+                                    src / "tta" / f"{stem}_v{i:02d}.ptns")
+        if "teacher-map" in row:  # (H, W) instead of (H, W, C)
+            io.write_tensor(io.read_tensor(path)[..., 0].copy(), path)
+        elif row.startswith("threshold-static"):  # a class outside the class map
+            labels, _ = io.read_labels(path)
+            labels[0] = io.read_class_map(data / "class_map.csv").num_classes
+            io.write_labels(labels, path)
+        else:
+            cut_rows(path)
+        capsys.readouterr()
+        assert run(command) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "config error" not in err
+
+
 class TestMultiCamera:
     def test_lift_averages_overlapping_cameras(self, tmp_path):
         # Two co-located cameras with identical geometry but different

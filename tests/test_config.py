@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from seglift.config import PipelineConfig, parse_config, read_config
+from seglift.config import parse_config, read_config
 from seglift.errors import ConfigError
 
 

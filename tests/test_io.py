@@ -10,9 +10,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from seglift import io
-from seglift.core import CalibrationRig, ClassMap, PointCloud
+from seglift.core import CalibrationRig, ClassMap
 from seglift.errors import (
     BadMagic,
+    DimMismatch,
     LengthError,
     ParseError,
     SizeMismatch,
@@ -250,10 +251,17 @@ class TestTensor:
         path = tmp_path / "t.ptns"
         path.write_bytes(struct.pack("<4sBBI3I", b"PTNS", 1, 0, 3, 2**32 - 1, 2**32 - 1, 1000)
                          + b"\x00" * 64)
+        whole = tmp_path / "whole.ptns"  # a 4 MiB payload that matches its header
+        io.write_tensor(np.zeros(2**20, dtype=np.float32), whole)
         tracemalloc.start()
         try:
             with pytest.raises(SizeMismatch):
                 io.read_tensor(path)
+            # A shape that does not fit is rejected from the header alone.
+            with pytest.raises(DimMismatch, match="does not fit"):
+                io.read_tensor(path, shape=(2**32 - 1, None, 999))
+            with pytest.raises(DimMismatch, match=r"\(1048576,\) does not fit the expected \(5\)"):
+                io.read_tensor(whole, shape=(5,))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -345,11 +353,26 @@ _FUZZ_BLOBS = st.one_of(
 )
 
 
+def fits(dims, shape):
+    """Whether `dims` has `shape`, where a None entry matches any size."""
+    return shape is None or (len(dims) == len(shape)
+                             and all(s is None or s == d for d, s in zip(dims, shape)))
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(blob=_FUZZ_BLOBS)
-@example(blob=ptns_like(0, [0] * 70, b""))  # more dims than numpy allows
-def test_readers_return_valid_results_or_typed_errors(tmp_path, blob):
-    """Arbitrary bytes either read back as a valid artifact or raise a ToolkitError."""
+@given(blob=_FUZZ_BLOBS,
+       shape=st.none() | st.lists(st.none() | st.integers(0, 4), max_size=3).map(tuple),
+       count=st.none() | st.integers(0, 80))
+@example(blob=ptns_like(0, [0] * 70, b""), shape=None, count=None)  # more dims than numpy allows
+@example(blob=ptns_like(2, [2, 1], b"\x00" * 8), shape=(2, None), count=4)  # both fit
+@example(blob=ptns_like(2, [2, 1], b"\x00" * 8), shape=(2, 2), count=3)  # neither fits
+@example(blob=ptns_like(2, [2, 1], b"\x00" * 8), shape=(2,), count=None)  # too few dims
+def test_readers_return_valid_results_or_typed_errors(tmp_path, blob, shape, count):
+    """Arbitrary bytes either read back as a valid artifact or raise a ToolkitError.
+
+    A read given an expected `shape` or `count` returns exactly that, or
+    raises a ToolkitError when the plain read fails or does not fit.
+    """
     path = tmp_path / "blob"
     path.write_bytes(blob)
     again = tmp_path / "again"
@@ -357,10 +380,19 @@ def test_readers_return_valid_results_or_typed_errors(tmp_path, blob):
     try:
         arr = io.read_tensor(path)
     except ToolkitError:
-        pass
+        arr = None
     else:
         io.write_tensor(arr, again)
         assert again.read_bytes() == blob
+
+    try:
+        fitted = io.read_tensor(path, shape=shape)
+    except ToolkitError:
+        assert arr is None or not fits(arr.shape, shape)
+    else:
+        assert fits(fitted.shape, shape)
+        assert arr is not None and fitted.dtype == arr.dtype and fitted.shape == arr.shape
+        assert fitted.tobytes() == arr.tobytes()
 
     try:
         cloud = io.read_cloud_bin(path)
@@ -373,11 +405,19 @@ def test_readers_return_valid_results_or_typed_errors(tmp_path, blob):
     try:
         labels, instances = io.read_labels(path)
     except ToolkitError:
-        pass
+        labels = None
     else:
         words = np.frombuffer(blob, dtype="<u4")
         np.testing.assert_array_equal(labels, words & 0xFFFF)
         np.testing.assert_array_equal(instances, words >> 16)
+
+    try:
+        counted, _ = io.read_labels(path, count=count)
+    except ToolkitError:
+        assert labels is None or count not in (None, len(labels))
+    else:
+        assert count in (None, len(counted))
+        assert labels is not None and np.array_equal(counted, labels)
 
     try:
         rig = io.read_calib(path, image_size=(4, 4))
