@@ -145,29 +145,32 @@ def _run(fn, arg, scans: list[Scan], jobs: int) -> list:
 def _lift(cfg: PipelineConfig, scan: Scan):
     """Lift the teacher map(s) onto the cloud and write probs_3d and fov_mask.
 
-    Returns (cloud, probs, mask); the teacher maps stay local, so they are
-    freed before refinement runs.
+    Returns (cloud, rows, mask): the (M, C) rows of the M points in view.
+    The teacher maps are memory-mapped and stay local, so they are
+    unmapped before refinement runs; later cameras' maps must have the
+    first map's class count.
     """
     cloud = io.read_cloud_bin(scan.cloud)
     width, height = cfg.image_size or (None, None)
+    classes = None
     lifted, masks = [], []
     for cam, path in scan.teacher_maps(cfg.cameras).items():
-        prob_map = io.read_tensor(path, shape=(height, width, None))
-        size = (prob_map.shape[1], prob_map.shape[0])
-        rig = io.read_calib(scan.calib, image_size=size, camera=cam)
+        prob_map = io.read_tensor(path, shape=(height, width, classes), mmap=True)
+        classes = prob_map.shape[2]
+        rig = io.read_calib(scan.calib, image_size=prob_map.shape[1::-1], camera=cam)
         try:
-            p, m = lift_probs(prob_map, cloud, rig, sampling=cfg.lift_sampling)
+            r, m = lift_probs(prob_map, cloud, rig, sampling=cfg.lift_sampling)
         except NotADistribution as exc:
             raise NotADistribution(f"{path}: {exc}") from exc
-        lifted.append(p)
+        lifted.append(r)
         masks.append(m)
     if len(lifted) == 1:
-        probs, mask = lifted[0], masks[0]
+        rows, mask = lifted[0], masks[0]
     else:
-        probs, mask = merge_lifted(lifted, masks)
-    io.write_tensor(probs, scan.output(D_PROBS3D))
+        rows, mask = merge_lifted(lifted, masks)
+    io.write_tensor(rows, scan.output(D_PROBS3D))
     io.write_tensor(mask.mask.astype(np.uint8), scan.output(D_MASK))
-    return cloud, probs, mask
+    return cloud, rows, mask
 
 
 def _prune_graphs(scan: Scan, keep: Path | None = None) -> None:
@@ -212,16 +215,16 @@ def _neighborhood(scan: Scan, cloud, mask: FovMask, k: int, include_self: bool,
                         tree=build_tree(cloud, mask)), path
 
 
-def _refine(cfg: PipelineConfig, scan: Scan, cloud, probs: np.ndarray, mask: FovMask) -> np.ndarray:
-    """Refine one lifted scan, write its labels and confidences; returns the label counts."""
+def _refine(cfg: PipelineConfig, scan: Scan, cloud, rows: np.ndarray, mask: FovMask) -> np.ndarray:
+    """Refine one scan's in-view rows; write its labels and confidences, return the label counts."""
     ref = cfg.refinement
+    conf = np.zeros(len(cloud), dtype=np.float32)
     # Sparse scans must not abort a batch: clamp k to the indexed points
     # (keeping it odd) and fall back to all-ignore when nothing is indexed.
     limit = mask.count if ref.include_self else mask.count - 1
     if limit < 1:
         _prune_graphs(scan)
         labels = np.zeros(len(cloud), dtype=np.uint16)
-        conf = np.zeros(len(cloud), dtype=np.float32)
     else:
         k = min(ref.k, limit)
         if k % 2 == 0:
@@ -229,15 +232,15 @@ def _refine(cfg: PipelineConfig, scan: Scan, cloud, probs: np.ndarray, mask: Fov
         graph, store = _neighborhood(scan, cloud, mask, k, ref.include_self,
                                      with_dist=ref.scheme == "distance_weighted")
         if ref.scheme == "majority":
-            labels = refine_majority(probs, graph, k, ref.include_self, ref.tie_break)
+            labels = refine_majority(rows, graph, k, ref.include_self, ref.tie_break)
         elif ref.scheme == "distance_weighted":
-            labels = refine_distance_weighted(probs, graph, k, ref.include_self)
+            labels = refine_distance_weighted(rows, graph, k, ref.include_self)
         else:  # the confidence is read from the averaged rows
-            labels, probs = refine_confidence_avg(probs, graph, k, ref.include_self)
+            labels, rows = refine_confidence_avg(rows, graph, k, ref.include_self)
         if store is not None:  # a miss: keep the graph the refine searched
             io.write_tensor(graph.idx.astype(np.uint32), store)
             _prune_graphs(scan, keep=store)
-        conf = probs.max(axis=1).astype(np.float32)
+        conf[mask.index_map] = rows.max(axis=1)
     io.write_labels(labels, scan.output(D_REFINED, ".label"))
     io.write_tensor(conf, scan.output(D_CONF))
     return np.bincount(labels)
@@ -249,9 +252,9 @@ def _lift_only(cfg: PipelineConfig, scan: Scan) -> None:
 
 def _refine_stored(cfg: PipelineConfig, scan: Scan) -> np.ndarray:
     cloud = io.read_cloud_bin(scan.cloud)
-    probs = io.read_tensor(scan.output(D_PROBS3D), shape=(len(cloud), None))
-    mask = io.read_tensor(scan.output(D_MASK), shape=(len(cloud),))
-    return _refine(cfg, scan, cloud, probs, FovMask(mask.astype(bool)))
+    mask = FovMask(io.read_tensor(scan.output(D_MASK), shape=(len(cloud),)).astype(bool))
+    rows = io.read_tensor(scan.output(D_PROBS3D), shape=(mask.count, None))
+    return _refine(cfg, scan, cloud, rows, mask)
 
 
 def _lift_refine(cfg: PipelineConfig, scan: Scan) -> np.ndarray:
@@ -433,7 +436,9 @@ def cmd_stats(args) -> int:
 def cmd_threshold(args) -> int:
     cfg = _config(args, "output_root", "class_map")
     class_map = io.read_class_map(cfg.class_map)
-    _threshold(cfg, _scans(cfg.output_root, cfg.output_root, D_REFINED, ".label"), class_map)
+    scans = _scans(cfg.output_root, cfg.output_root, D_REFINED, ".label")
+    _require(s.output(D_CONF) for s in scans)
+    _threshold(cfg, scans, class_map)
     return 0
 
 

@@ -219,12 +219,16 @@ def write_calib(rig: CalibrationRig, path, camera: int = 2) -> None:
 # PTNS tensors
 
 
-def read_tensor(path, shape: tuple[int | None, ...] | None = None) -> np.ndarray:
+def read_tensor(path, shape: tuple[int | None, ...] | None = None,
+                mmap: bool = False) -> np.ndarray:
     """Read a PTNS container into a new array (C-order, native little-endian).
 
     The header is checked against the expected `shape` (a None entry
     matches any size) and the file size before anything is allocated, and
-    the payload is read straight into the returned array.
+    the payload is read straight into the returned array.  With `mmap`,
+    the same checks pass first and the result is a read-only `np.memmap`
+    over the payload, which reads only the pages that are touched; the
+    file must not be truncated while the map is in use.
     """
     with open(path, "rb") as fh:
         head = fh.read(10)
@@ -249,6 +253,8 @@ def read_tensor(path, shape: tuple[int | None, ...] | None = None) -> np.ndarray
         expected = math.prod(dims) * dtype.itemsize
         if size - header_end != expected:
             raise SizeMismatch(f"{path}: payload {size - header_end} bytes, expected {expected}")
+        if mmap:
+            return np.memmap(fh, dtype=dtype, mode="r", offset=header_end, shape=dims)
         arr = np.empty(dims, dtype=dtype)
         got = fh.readinto(arr.reshape(-1).view(np.uint8))
         if got != expected:

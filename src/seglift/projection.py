@@ -125,9 +125,9 @@ def lift_probs(prob_map: np.ndarray, cloud: PointCloud, rig: CalibrationRig,
                sampling: str = "nearest"):
     """Lift an (H, W, C) probability map onto the cloud.
 
-    Returns (probs, mask): an (N, C) float32 matrix whose in-FOV rows are
-    sampled from the map and whose out-of-FOV rows are zero, plus the
-    FovMask saying which rows are valid.
+    Returns (rows, mask): the (M, C) float32 rows sampled from the map for
+    the M points in view, in `mask.index_map` order, and the FovMask
+    saying which points they belong to.
     """
     prob_map = np.asarray(prob_map)
     if prob_map.ndim != 3:
@@ -142,17 +142,12 @@ def lift_probs(prob_map: np.ndarray, cloud: PointCloud, rig: CalibrationRig,
 
     u, v, depth = project_points(cloud, rig)
     mask = _in_view(u, v, depth, rig)
-
-    probs = np.zeros((len(cloud), prob_map.shape[2]), dtype=np.float32)
-    idx = mask.index_map
-    if idx.size:
-        uu, vv = u[idx], v[idx]
-        if sampling == "nearest":
-            probs[idx] = _sampled_rows(prob_map, np.floor(vv).astype(np.int64),
-                                       np.floor(uu).astype(np.int64))
-        else:
-            probs[idx] = _bilinear(prob_map, uu, vv)
-    return probs, mask
+    u, v = u[mask.index_map], v[mask.index_map]
+    if sampling == "nearest":
+        rows = _sampled_rows(prob_map, np.floor(v).astype(np.int64), np.floor(u).astype(np.int64))
+    else:
+        rows = _bilinear(prob_map, u, v)
+    return rows.astype(np.float32, copy=False), mask
 
 
 def _sampled_rows(prob_map: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -193,25 +188,25 @@ def _bilinear(prob_map: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (top * (1 - fy) + bot * fy).astype(np.float32)
 
 
-def merge_lifted(probs_list, masks) -> tuple[np.ndarray, FovMask]:
-    """Average per-point probabilities over several cameras.
+def merge_lifted(rows_list, masks) -> tuple[np.ndarray, FovMask]:
+    """Average per-camera lifted rows over the cameras that see each point.
 
-    Each point's row is the mean over the cameras that see it; the merged
-    mask is the union.  Points seen by no camera keep a zero row.
+    `rows_list[i]` holds camera i's rows in the order of its mask's true
+    entries.  Returns the rows of the union mask, each the float64 mean of
+    its point's rows in camera order, as float32, and the union FovMask.
     """
-    if not probs_list or len(probs_list) != len(masks):
+    if not rows_list or len(rows_list) != len(masks):
         raise SizeMismatch("need one mask per probability matrix")
-    shape = probs_list[0].shape
-    for p in probs_list:
-        if p.shape != shape:
-            raise DimMismatch(f"probability shapes differ: {p.shape} vs {shape}")
-    total = np.zeros(shape, dtype=np.float64)
-    seen = np.zeros(shape[0], dtype=np.int64)
-    for probs, mask in zip(probs_list, masks):
-        m = _as_mask(mask, shape[0])
-        total[m] += probs[m]
-        seen += m
-    out = np.zeros(shape, dtype=np.float32)
-    covered = seen > 0
-    out[covered] = (total[covered] / seen[covered, None]).astype(np.float32)
-    return out, FovMask(covered)
+    masks = [_as_mask(m, len(masks[0])) for m in masks]
+    union = FovMask(np.logical_or.reduce(masks))
+    classes = np.shape(rows_list[0])[-1:]
+    total = np.zeros((union.count, *classes), dtype=np.float64)
+    seen = np.zeros(union.count, dtype=np.int64)
+    for rows, m in zip(rows_list, masks):
+        want = (int(m.sum()), *classes)
+        if np.shape(rows) != want:
+            raise DimMismatch(f"lifted rows of shape {np.shape(rows)}, expected {want}")
+        here = m[union.mask]  # this camera's points among the union's
+        total[here] += rows
+        seen += here
+    return (total / seen[:, None]).astype(np.float32), union

@@ -13,6 +13,9 @@ already, and widened, doubling, until it extends past the tie group at
 the cut: its farthest candidate lies strictly beyond the last neighbor
 kept, or it holds every point.
 
+The schemes take the (M, C) probability rows of the M indexed points, in
+`index_map` order, and return labels for all N points of the cloud.
+
 A `Neighborhood` hands the schemes one graph, stored or searched on
 first use, in place of a KdTree; `graph_distances` rebuilds a stored
 graph's distances with the search's own expression, so they are bit-equal.
@@ -159,19 +162,21 @@ def build_tree(cloud: PointCloud, mask=None) -> KdTree:
     from scipy.spatial import cKDTree
 
     pts = np.ascontiguousarray(cloud.xyz[index_map], dtype=np.float64)
-    return KdTree(points=pts, index_map=index_map, n_total=n, _kd=cKDTree(pts))
+    # Sliding-midpoint splits build and query faster than median splits;
+    # the contract order comes from `_probe`'s re-sort, not from the tree.
+    return KdTree(points=pts, index_map=index_map, n_total=n,
+                  _kd=cKDTree(pts, balanced_tree=False))
 
 
-def _indexed_probs(probs: np.ndarray, tree: KdTree, k: int) -> np.ndarray:
-    """The indexed rows of `probs` as float64, once its shape and `k` are checked."""
-    probs = np.asarray(probs)
-    if probs.ndim != 2 or probs.shape[0] != tree.n_total:
-        raise DimMismatch(
-            f"probs must be ({tree.n_total}, C), got {probs.shape}"
-        )
+def _indexed_rows(rows: np.ndarray, tree: KdTree, k: int) -> np.ndarray:
+    """`rows` as float64, once its shape (one row per indexed point) and `k` are checked."""
+    rows = np.asarray(rows)
+    m = tree.index_map.shape[0]
+    if rows.ndim != 2 or rows.shape[0] != m:
+        raise DimMismatch(f"rows must be ({m}, C), one per indexed point, got {rows.shape}")
     if k % 2 == 0:
         raise BadK(f"k must be odd, got {k}")
-    return probs[tree.index_map].astype(np.float64, copy=False)
+    return rows.astype(np.float64, copy=False)
 
 
 def _scatter_labels(tree: KdTree, winners: np.ndarray) -> np.ndarray:
@@ -189,7 +194,7 @@ def _votes(neighbor_labels: np.ndarray, c: int, weights=None) -> np.ndarray:
     return np.bincount(bins, weights, minlength=m * c).reshape(m, c)
 
 
-def refine_majority(probs: np.ndarray, tree: KdTree, k: int,
+def refine_majority(rows: np.ndarray, tree: KdTree, k: int,
                     include_self: bool = True, tie_break: str = "lowest") -> np.ndarray:
     """Most frequent argmax label among the K neighbors.
 
@@ -198,7 +203,7 @@ def refine_majority(probs: np.ndarray, tree: KdTree, k: int,
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
-    sub = _indexed_probs(probs, tree, k)
+    sub = _indexed_rows(rows, tree, k)
     labels = np.argmax(sub, axis=1)
     idx, _ = tree.neighbors(k, include_self)
     votes = _votes(labels[idx], sub.shape[1])
@@ -210,14 +215,14 @@ def refine_majority(probs: np.ndarray, tree: KdTree, k: int,
     return _scatter_labels(tree, winners)
 
 
-def refine_distance_weighted(probs: np.ndarray, tree: KdTree, k: int,
+def refine_distance_weighted(rows: np.ndarray, tree: KdTree, k: int,
                              include_self: bool = True) -> np.ndarray:
     """Argmax over classes of summed (1 - softmax(distances)) neighbor weights.
 
     Closer neighbors carry more weight; equal distances degrade to plain
     majority voting.  Ties resolve to the lowest class id.
     """
-    sub = _indexed_probs(probs, tree, k)
+    sub = _indexed_rows(rows, tree, k)
     labels = np.argmax(sub, axis=1)
     idx, dist = tree.neighbors(k, include_self)
     e = np.exp(dist - dist.max(axis=1, keepdims=True))
@@ -230,21 +235,18 @@ def refine_distance_weighted(probs: np.ndarray, tree: KdTree, k: int,
     return _scatter_labels(tree, acc.argmax(axis=1))
 
 
-def refine_confidence_avg(probs: np.ndarray, tree: KdTree, k: int,
+def refine_confidence_avg(rows: np.ndarray, tree: KdTree, k: int,
                           include_self: bool = True):
     """Unweighted mean of the K neighbors' probability rows.
 
     Returns (labels, refined): the argmax of each averaged row (ties ->
-    lowest class id) and the full refined (N, C) matrix with zero rows
-    outside the indexed subset.  Averaging normalized rows keeps the
-    output normalized.
+    lowest class id) and the (M, C) float64 averaged rows of the indexed
+    points.  Averaging normalized rows keeps the output normalized.
     """
-    sub = _indexed_probs(probs, tree, k)
+    sub = _indexed_rows(rows, tree, k)
     idx, _ = tree.neighbors(k, include_self)
     acc = np.zeros_like(sub)
     for j in range(k):
         acc += sub[idx[:, j]]
-    refined_sub = acc / k
-    refined = np.zeros((tree.n_total, sub.shape[1]), dtype=np.float64)
-    refined[tree.index_map] = refined_sub
-    return _scatter_labels(tree, refined_sub.argmax(axis=1)), refined
+    refined = acc / k
+    return _scatter_labels(tree, refined.argmax(axis=1)), refined

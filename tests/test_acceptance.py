@@ -89,7 +89,7 @@ def corpus(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def lifted_corpus(corpus):
-    """Per-scan (gt, lifted probs, mask) tuples read back through the I/O layer."""
+    """Per-scan (cloud, gt, lifted in-view rows, mask) tuples read back through the I/O layer."""
     seq = corpus / "sequences" / "00"
     scans = []
     for stem in sorted(p.stem for p in (seq / "velodyne").glob("*.bin")):
@@ -98,8 +98,8 @@ def lifted_corpus(corpus):
         prob_map = io.read_tensor(seq / "probs_2d" / f"{stem}.ptns")
         rig = io.read_calib(seq / "calib.txt",
                             image_size=(prob_map.shape[1], prob_map.shape[0]))
-        probs, mask = lift_probs(prob_map, cloud, rig)
-        scans.append((cloud, gt, probs.astype(np.float64), mask))
+        rows, mask = lift_probs(prob_map, cloud, rig)
+        scans.append((cloud, gt, rows.astype(np.float64), mask))
     return scans
 
 
@@ -107,10 +107,12 @@ def lifted_corpus(corpus):
 def refined_corpus(lifted_corpus):
     """Confidence-averaged (k=19) labels and confidences per scan."""
     out = []
-    for cloud, gt, probs, mask in lifted_corpus:
+    for cloud, gt, rows, mask in lifted_corpus:
         tree = build_tree(cloud, mask)
-        labels, refined = refine_confidence_avg(probs, tree, 19)
-        out.append((gt, labels, refined.max(axis=1), mask))
+        labels, refined = refine_confidence_avg(rows, tree, 19)
+        conf = np.zeros(len(cloud))
+        conf[mask.index_map] = refined.max(axis=1)
+        out.append((gt, labels, conf, mask))
     return out
 
 
@@ -171,18 +173,18 @@ def test_criterion_3_refinement_improves_noisy_corpus(lifted_corpus):
         cm_base = ConfusionMatrix(num_classes)
         cms = {scheme: ConfusionMatrix(num_classes)
                for scheme in ("confidence_avg", "majority", "distance_weighted")}
-        for cloud, gt, probs, mask in lifted_corpus:
-            base = probs.argmax(axis=1).astype(np.uint16)
-            base[~mask.mask] = 0
+        for cloud, gt, rows, mask in lifted_corpus:
+            base = np.zeros(len(cloud), dtype=np.uint16)
+            base[mask.index_map] = rows.argmax(axis=1)
             tree = build_tree(cloud, mask)
-            k19, _ = refine_confidence_avg(probs, tree, 19)
-            k1, _ = refine_confidence_avg(probs, tree, 1)
+            k19, _ = refine_confidence_avg(rows, tree, 19)
+            k1, _ = refine_confidence_avg(rows, tree, 1)
             np.testing.assert_array_equal(k1, base)  # k=1 == unrefined, exactly
             cm_base.update(gt, base, mask)
             cms["confidence_avg"].update(gt, k19, mask)
-            cms["majority"].update(gt, refine_majority(probs, tree, 19), mask)
+            cms["majority"].update(gt, refine_majority(rows, tree, 19), mask)
             cms["distance_weighted"].update(
-                gt, refine_distance_weighted(probs, tree, 19), mask)
+                gt, refine_distance_weighted(rows, tree, 19), mask)
         _, miou_base = iou(cm_base)
         mious = {scheme: iou(cm)[1] for scheme, cm in cms.items()}
         gain = 100.0 * (mious["confidence_avg"] - miou_base)

@@ -181,6 +181,22 @@ class TestZeroNoisePipeline:
         assert miou_line.split()[-1] == "100.00"
 
 
+class TestKnownAnswer:
+    def test_default_pipeline_on_the_seed7_corpus(self, tmp_path, capsys):
+        """The behaviour check every refactor keeps: the default pipeline on
+        `synth --scenes 10 --seed 7` gives FOV mIoU 67.22 and removes 46.79%."""
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert run(["synth", "--out", data, "--scenes", "10", "--seed", "7"]) == 0
+        cm = ["--class-map", data / "class_map.csv"]
+        seq = out / "sequences" / "00"
+        capsys.readouterr()
+        assert run(["pipeline", "--dataset-root", data, "--output-root", out, *cm]) == 0
+        assert "removed 25671/54870 labels (46.79%)" in capsys.readouterr().out
+        assert run(["eval", "--gt", data / "sequences" / "00" / "labels",
+                    "--pred", seq / "pseudo_labels", "--masks", seq / "fov_mask", *cm]) == 0
+        assert capsys.readouterr().out.split()[-2:] == ["mIoU", "67.22"]
+
+
 class TestEval:
     def test_identical_dirs_give_miou_one(self, corpus, tmp_path, capsys):
         labels = corpus / "sequences" / "00" / "labels"
@@ -381,6 +397,43 @@ class TestExitCodes:
                     "--mode", "static", "--tau", "0.5"]) == 1
         assert str(conf_path) in capsys.readouterr().err
 
+    def test_threshold_checks_every_confidence_file_before_any_write(self, corpus, tmp_path,
+                                                                      capsys):
+        out = tmp_path / "out"
+        base = ["--dataset-root", corpus, "--output-root", out]
+        cm = ["--class-map", corpus / "class_map.csv"]
+        assert run(["lift", *base]) == 0
+        assert run(["refine", *base]) == 0
+        assert run(["stats", "--output-root", out, *cm]) == 0
+        missing = out / "sequences" / "00" / "confidences" / "000001.ptns"
+        missing.unlink()
+        before = sorted(out.rglob("*"))
+        assert run(["threshold", "--output-root", out, *cm]) == 1
+        assert str(missing) in capsys.readouterr().err
+        assert sorted(out.rglob("*")) == before
+        assert not (out / "thresholds.csv").exists()
+        assert not (out / "sequences" / "00" / "pseudo_labels").exists()
+
+    def test_old_full_cloud_probs_3d_names_its_file(self, corpus, tmp_path, capsys):
+        """probs_3d holds one row per in-view point; a file with one row per
+        cloud point (the earlier layout) does not fit and is named."""
+        out = tmp_path / "out"
+        base = ["--dataset-root", corpus, "--output-root", out]
+        assert run(["lift", *base]) == 0
+        seq = out / "sequences" / "00"
+        path = seq / "probs_3d" / "000000.ptns"
+        mask = io.read_tensor(seq / "fov_mask" / "000000.ptns").astype(bool)
+        rows = io.read_tensor(path)
+        assert rows.shape[0] == mask.sum() < len(mask)
+        full = np.zeros((len(mask), rows.shape[1]), dtype=np.float32)
+        full[mask] = rows
+        io.write_tensor(full, path)
+        capsys.readouterr()
+        assert run(["refine", *base]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: shape {full.shape} does not fit" in err
+        assert not (seq / "refined_labels" / "000000.label").exists()
+
     def test_threshold_without_histogram_exits_two(self, corpus, tmp_path):
         out = tmp_path / "out"
         base = ["--dataset-root", corpus, "--output-root", out,
@@ -473,29 +526,35 @@ class TestFilesThatDoNotFit:
         assert str(path) in err and "config error" not in err
 
 
+def two_camera_scan(tmp_path, map2, map3):
+    """A 1-scan corpus seen by co-located cameras 2 and 3 with these teacher
+    maps, and a config selecting both; returns (root, config)."""
+    root = tmp_path / "data"
+    seq = root / "sequences" / "00"
+    (seq / "velodyne").mkdir(parents=True)
+    from seglift.core import PointCloud
+    xyz = np.array([[0.0, 0.0, 5.0], [0.1, 0.0, 4.0]])
+    io.write_cloud_bin(PointCloud(xyz, np.array([0.5, 0.5])),
+                       seq / "velodyne" / "000000.bin")
+    p_line = "1 0 0 0 0 1 0 0 0 0 1 0"
+    (seq / "calib.txt").write_text(
+        f"P2: {p_line}\nP3: {p_line}\nTr: 1 0 0 0 0 1 0 0 0 0 1 0\n")
+    io.write_tensor(map2, seq / "probs_2d" / "cam2" / "000000.ptns")
+    io.write_tensor(map3, seq / "probs_2d" / "cam3" / "000000.ptns")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"cameras": [2, 3], "image_size": [2, 2]}))
+    return root, cfg
+
+
 class TestMultiCamera:
     def test_lift_averages_overlapping_cameras(self, tmp_path):
         # Two co-located cameras with identical geometry but different
         # teacher maps: overlapping points get the mean row.
-        root = tmp_path / "data"
-        seq = root / "sequences" / "00"
-        (seq / "velodyne").mkdir(parents=True)
-        from seglift.core import PointCloud
-        xyz = np.array([[0.0, 0.0, 5.0], [0.1, 0.0, 4.0]])
-        io.write_cloud_bin(PointCloud(xyz, np.array([0.5, 0.5])),
-                           seq / "velodyne" / "000000.bin")
-        p_line = "1 0 0 0 0 1 0 0 0 0 1 0"
-        (seq / "calib.txt").write_text(
-            f"P2: {p_line}\nP3: {p_line}\nTr: 1 0 0 0 0 1 0 0 0 0 1 0\n")
         map2 = np.zeros((2, 2, 3), dtype=np.float32)
         map2[:, :, 1] = 1.0
         map3 = np.zeros((2, 2, 3), dtype=np.float32)
         map3[:, :, 2] = 1.0
-        io.write_tensor(map2, seq / "probs_2d" / "cam2" / "000000.ptns")
-        io.write_tensor(map3, seq / "probs_2d" / "cam3" / "000000.ptns")
-
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"cameras": [2, 3], "image_size": [2, 2]}))
+        root, cfg = two_camera_scan(tmp_path, map2, map3)
         out = tmp_path / "out"
         assert run(["lift", "--config", cfg, "--dataset-root", root,
                     "--output-root", out]) == 0
@@ -503,6 +562,16 @@ class TestMultiCamera:
         mask = io.read_tensor(out / "sequences" / "00" / "fov_mask" / "000000.ptns")
         assert mask.tolist() == [1, 1]
         np.testing.assert_allclose(probs, [[0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+
+    def test_class_count_mismatch_names_the_later_map(self, tmp_path, capsys):
+        root, cfg = two_camera_scan(tmp_path, np.full((2, 2, 3), 1 / 3, np.float32),
+                                    np.full((2, 2, 4), 0.25, np.float32))
+        out = tmp_path / "out"
+        assert run(["lift", "--config", cfg, "--dataset-root", root,
+                    "--output-root", out]) == 1
+        path = root / "sequences" / "00" / "probs_2d" / "cam3" / "000000.ptns"
+        assert f"{path}: shape (2, 2, 4) does not fit the expected (2, 2, 3)" in capsys.readouterr().err
+        assert not (out / "sequences" / "00" / "probs_3d").exists()
 
 
 def graphs(out):
@@ -577,11 +646,14 @@ class TestKnnGraphReuse:
             inside = np.flatnonzero(io.read_tensor(seq / "fov_mask" / "000000.ptns"))[0]
             cloud.xyz[inside] += 1e-3
             io.write_cloud_bin(cloud, velo)
-        else:
-            mask_path = seq / "fov_mask" / "000000.ptns"
+        else:  # one more point in view, with a zero probs_3d row
+            mask_path, rows_path = seq / "fov_mask" / "000000.ptns", seq / "probs_3d" / "000000.ptns"
             mask = io.read_tensor(mask_path)
-            mask[np.flatnonzero(mask == 0)[0]] = 1
+            point = np.flatnonzero(mask == 0)[0]
+            mask[point] = 1
             io.write_tensor(mask, mask_path)
+            io.write_tensor(np.insert(io.read_tensor(rows_path), mask[:point].sum(), 0.0, axis=0),
+                            rows_path)
         del searches[:]
         shutil.copytree(out, fresh)
         shutil.rmtree(fresh / "sequences" / "00" / "knn")

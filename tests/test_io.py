@@ -1,5 +1,6 @@
 """On-disk format round trips and typed failure modes."""
 
+import re
 import struct
 import tracemalloc
 import warnings
@@ -246,6 +247,26 @@ class TestTensor:
         again = tmp_path / "again.ptns"
         io.write_tensor(io.read_tensor(path), again)
         assert again.read_bytes() == path.read_bytes()
+        mapped = io.read_tensor(path, mmap=True)
+        assert isinstance(mapped, np.memmap) and not mapped.flags.writeable
+        assert mapped.dtype == arr.dtype and mapped.shape == shape
+        np.testing.assert_array_equal(mapped, arr)
+
+    @pytest.mark.parametrize("damage, error", [
+        ("magic", BadMagic), ("truncated", SizeMismatch), ("shape", DimMismatch)])
+    def test_mmap_checks_the_file_before_mapping_it(self, tmp_path, monkeypatch, damage, error):
+        path = tmp_path / "t.ptns"
+        io.write_tensor(np.zeros((4, 3), dtype=np.float32), path)
+        data, shape = path.read_bytes(), (4, None)
+        if damage == "magic":
+            path.write_bytes(b"XXXX" + data[4:])
+        elif damage == "truncated":
+            path.write_bytes(data[:-8])
+        else:
+            shape = (5, None)
+        monkeypatch.setattr(np, "memmap", None)  # mapping would raise TypeError
+        with pytest.raises(error):
+            io.read_tensor(path, shape=shape, mmap=True)
 
     def test_huge_dims_over_short_payload_allocate_nothing(self, tmp_path):
         path = tmp_path / "t.ptns"
@@ -393,6 +414,17 @@ def test_readers_return_valid_results_or_typed_errors(tmp_path, blob, shape, cou
         assert fits(fitted.shape, shape)
         assert arr is not None and fitted.dtype == arr.dtype and fitted.shape == arr.shape
         assert fitted.tobytes() == arr.tobytes()
+
+    try:  # a mapped read fails exactly as the plain one does, or equals it
+        mapped = io.read_tensor(path, shape=shape, mmap=True)
+    except ToolkitError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            io.read_tensor(path, shape=shape)
+    else:
+        assert isinstance(mapped, np.memmap) and not mapped.flags.writeable
+        assert arr is not None and mapped.dtype == arr.dtype and mapped.shape == arr.shape
+        assert mapped.tobytes() == arr.tobytes() and fits(mapped.shape, shape)
+        del mapped  # unmap before the file is rewritten
 
     try:
         cloud = io.read_cloud_bin(path)

@@ -1,5 +1,7 @@
 """Camera-model lifting: projection, FOV masks, slicing, pixel sampling."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -135,19 +137,20 @@ class TestLiftProbs:
         row = np.array([0.2, 0.3, 0.5], dtype=np.float32)
         prob_map = np.tile(row, (48, 64, 1))
         cloud = cloud_of(np.random.default_rng(1).uniform(-0.2, 0.2, (50, 3)) + [0, 0, 5.0])
-        probs, mask = lift_probs(prob_map, cloud, rig)
+        rows, mask = lift_probs(prob_map, cloud, rig)
         assert mask.count > 0
-        np.testing.assert_array_equal(probs[mask.mask], np.tile(row, (mask.count, 1)))
-        assert np.all(probs[~mask.mask] == 0.0)
+        assert rows.dtype == np.float32
+        np.testing.assert_array_equal(rows, np.tile(row, (mask.count, 1)))
 
     def test_rows_are_rows_of_the_map(self):
         rng = np.random.default_rng(2)
         rig = simple_rig(f=50.0, cx=32.0, cy=24.0, width=64, height=48)
         prob_map = rng.dirichlet(np.ones(4), size=(48, 64)).astype(np.float32)
         cloud = cloud_of(rng.uniform(-1, 1, (200, 3)) + [0, 0, 4.0])
-        probs, mask = lift_probs(prob_map, cloud, rig)
+        rows, mask = lift_probs(prob_map, cloud, rig)
         flat = prob_map.reshape(-1, 4)
-        for row in probs[mask.mask]:
+        assert rows.shape == (mask.count, 4)
+        for row in rows:
             assert (flat == row).all(axis=1).any()
 
     def test_four_points_hit_four_pixels(self):
@@ -174,19 +177,20 @@ class TestLiftProbs:
         pixel_labels = rng.integers(0, 5, (32, 32))
         prob_map = np.eye(5, dtype=np.float32)[pixel_labels]
         cloud = cloud_of(rng.uniform(-1, 1, (100, 3)) + [0, 0, 4.0])
-        probs, mask = lift_probs(prob_map, cloud, rig)
+        rows, mask = lift_probs(prob_map, cloud, rig)
         u, v, _ = project_points(cloud, rig)
-        for i in np.flatnonzero(mask.mask):
+        for row, i in zip(rows, mask.index_map, strict=True):
             expected = pixel_labels[int(np.floor(v[i])), int(np.floor(u[i]))]
-            assert probs[i].argmax() == expected
+            assert row.argmax() == expected
 
     def test_bilinear_rows_stay_normalized(self):
         rng = np.random.default_rng(4)
         rig = simple_rig(f=50.0, cx=32.0, cy=24.0, width=64, height=48)
         prob_map = rng.dirichlet(np.ones(3), size=(48, 64)).astype(np.float32)
         cloud = cloud_of(rng.uniform(-1, 1, (300, 3)) + [0, 0, 4.0])
-        probs, mask = lift_probs(prob_map, cloud, rig, sampling="bilinear")
-        sums = probs[mask.mask].sum(axis=1)
+        rows, mask = lift_probs(prob_map, cloud, rig, sampling="bilinear")
+        assert rows.shape == (mask.count, 3)
+        sums = rows.sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-5)
 
 
@@ -251,7 +255,7 @@ class TestMergeLifted:
         b = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]], dtype=np.float32)
         ma = np.array([True, True, False])
         mb = np.array([True, False, False])
-        merged, mask = merge_lifted([a, b], [ma, mb])
+        merged, mask = merge_lifted([a[ma], b[mb]], [ma, mb])
         np.testing.assert_allclose(merged[0], [0.5, 0.5])
         np.testing.assert_allclose(merged[1], [0.4, 0.6], rtol=1e-6)
         assert mask.mask.tolist() == [True, True, False]
@@ -328,3 +332,47 @@ def test_projection_bit_equal_to_scalar_oracle(case):
     assert depth.tobytes() == np.array([e[2] for e in expected]).tobytes()
     assert fov_mask(cloud_of(xyz), rig).mask.tolist() == [
         in_frustum_scalar(p_mat, t_mat, rig.width, rig.height, q) for q in xyz]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rigs_and_points())
+@example((simple_rig(f=100.0, cx=320.0, cy=240.0),
+          np.array([[0.0, 0.0, 5.0], [1.0, -1.0, 5.0], [-40.0, 0.0, 5.0], [-3.0, 2.0, 4.0]])))
+def test_lifted_rows_are_map_rows_at_oracle_pixels(case):
+    """Nearest lift returns prob_map[floor v, floor u], in point order, for
+    exactly the points the scalar oracle puts in the frustum."""
+    rig, xyz = case
+    # Every pixel holds its own row, so a row names the pixel it came from.
+    a = np.arange(rig.height * rig.width) / (rig.height * rig.width)
+    prob_map = np.stack([a, 1.0 - a], axis=-1).reshape(rig.height, rig.width, 2).astype(np.float32)
+    rows, mask = lift_probs(prob_map, cloud_of(xyz), rig)
+    p_mat, t_mat = rig.P.tolist(), rig.T.tolist()
+    seen = [in_frustum_scalar(p_mat, t_mat, rig.width, rig.height, q) for q in xyz]
+    pixels = [project_scalar(p_mat, t_mat, q)[:2] for q, s in zip(xyz, seen) if s]
+    expected = np.array([prob_map[math.floor(v), math.floor(u)] for u, v in pixels],
+                        dtype=np.float32).reshape(-1, 2)
+    assert mask.mask.tolist() == seen
+    assert rows.dtype == np.float32 and rows.shape == expected.shape
+    assert rows.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 30), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_merged_rows_are_per_point_means_in_camera_order(cameras, n, classes, seed):
+    """Each union row is the float64 mean, summed in camera order, of the
+    rows of the cameras that see its point; rows follow the union's order."""
+    rng = np.random.default_rng(seed)
+    masks = [rng.random(n) < 0.6 for _ in range(cameras)]
+    rows_list = [rng.dirichlet(np.ones(classes), int(m.sum())).astype(np.float32) for m in masks]
+    merged, union = merge_lifted(rows_list, masks)
+    expected = []
+    for point in range(n):
+        seen = [rows[int(m[:point].sum())] for rows, m in zip(rows_list, masks) if m[point]]
+        if seen:
+            total = np.zeros(classes)
+            for row in seen:
+                total += row
+            expected.append((total / len(seen)).astype(np.float32))
+    assert union.mask.tolist() == np.logical_or.reduce(masks).tolist()
+    assert merged.dtype == np.float32
+    assert merged.tobytes() == np.array(expected, dtype=np.float32).reshape(-1, classes).tobytes()

@@ -263,7 +263,7 @@ class TestOracleEquivalence:
         mask = np.zeros(60, dtype=bool)
         mask[10:40] = True
         tree = build_tree(cloud, mask)
-        labels = refine_majority(probs, tree, 3)
+        labels = refine_majority(probs[mask], tree, 3)
         assert np.all(labels[~mask] == 0)
         bidx, _ = knn_brute(cloud.xyz[mask], 3)
         np.testing.assert_array_equal(labels[mask],
@@ -391,17 +391,17 @@ def test_every_scheme_refines_a_stored_graph_like_its_tree(include_self):
     graph = Neighborhood(tree.index_map, tree.n_total, 7, include_self, idx=stored,
                          dist=graph_distances(tree.points, stored))
     for tie_break in ("lowest", "keep"):
-        np.testing.assert_array_equal(refine_majority(probs, graph, 7, include_self, tie_break),
-                                      refine_majority(probs, tree, 7, include_self, tie_break))
-    np.testing.assert_array_equal(refine_distance_weighted(probs, graph, 7, include_self),
-                                  refine_distance_weighted(probs, tree, 7, include_self))
-    for a, b in zip(refine_confidence_avg(probs, graph, 7, include_self),
-                    refine_confidence_avg(probs, tree, 7, include_self)):
+        np.testing.assert_array_equal(refine_majority(probs[mask], graph, 7, include_self, tie_break),
+                                      refine_majority(probs[mask], tree, 7, include_self, tie_break))
+    np.testing.assert_array_equal(refine_distance_weighted(probs[mask], graph, 7, include_self),
+                                  refine_distance_weighted(probs[mask], tree, 7, include_self))
+    for a, b in zip(refine_confidence_avg(probs[mask], graph, 7, include_self),
+                    refine_confidence_avg(probs[mask], tree, 7, include_self)):
         np.testing.assert_array_equal(a, b)
     with pytest.raises(BadK):
-        refine_majority(probs, graph, 5, include_self)
+        refine_majority(probs[mask], graph, 5, include_self)
     with pytest.raises(BadK):
-        refine_majority(probs, graph, 7, not include_self)
+        refine_majority(probs[mask], graph, 7, not include_self)
 
 
 @pytest.mark.parametrize("include_self", [True, False])
@@ -457,8 +457,8 @@ def test_k1_with_self_is_identity_for_every_scheme(case):
     tree = build_tree(cloud_from(xyz), mask)
     own = np.where(mask, probs.argmax(axis=1), IGNORE_ID).astype(np.uint16)
     for tie_break in ("lowest", "keep"):
-        np.testing.assert_array_equal(refine_majority(probs, tree, 1, True, tie_break), own)
-    np.testing.assert_array_equal(refine_distance_weighted(probs, tree, 1, True), own)
-    labels, refined = refine_confidence_avg(probs, tree, 1, True)
+        np.testing.assert_array_equal(refine_majority(probs[mask], tree, 1, True, tie_break), own)
+    np.testing.assert_array_equal(refine_distance_weighted(probs[mask], tree, 1, True), own)
+    labels, refined = refine_confidence_avg(probs[mask], tree, 1, True)
     np.testing.assert_array_equal(labels, own)
-    np.testing.assert_array_equal(refined, np.where(mask[:, None], probs, 0.0))
+    np.testing.assert_array_equal(refined, probs[mask])

@@ -84,10 +84,10 @@ class TestSimulateTeacher:
         spec = random_scene_spec(21)
         scene = render_scene(spec)
         prob_map = simulate_teacher(spec, 0.0, 0.0, seed=1)
-        probs, mask = projection.lift_probs(prob_map, scene.cloud, scene.rig)
+        rows, mask = projection.lift_probs(prob_map, scene.cloud, scene.rig)
         idx = mask.index_map
         assert idx.size > 500
-        np.testing.assert_array_equal(probs[idx].argmax(axis=1), scene.labels[idx])
+        np.testing.assert_array_equal(rows.argmax(axis=1), scene.labels[idx])
 
     def test_zero_noise_pipeline_with_k1_returns_gt_in_fov(self):
         spec = random_scene_spec(22)
@@ -132,9 +132,9 @@ class TestSimulateTeacher:
         mious = []
         for rate in (0.0, 0.25, 0.5):
             prob_map = simulate_teacher(spec, rate, 0.0, seed=5)
-            probs, mask = projection.lift_probs(prob_map, scene.cloud, scene.rig)
-            pred = probs.argmax(axis=1).astype(np.uint16)
-            cm = evaluation.accumulate(scene.labels, pred, 5, mask=mask.mask)
+            rows, mask = projection.lift_probs(prob_map, scene.cloud, scene.rig)
+            pred = rows.argmax(axis=1).astype(np.uint16)
+            cm = evaluation.accumulate(scene.labels[mask.index_map], pred, 5)
             mious.append(evaluation.iou(cm)[1])
         assert mious[0] == 1.0
         assert mious[0] > mious[1] > mious[2]
