@@ -39,7 +39,7 @@ from .errors import (ConfigError, DimMismatch, FormatError, NonFiniteValue, NotA
                      ToolkitError, UnknownClassError)
 from .evaluation import ConfusionMatrix, report
 from .projection import FovMask, lift_probs, merge_lifted, slice_cloud
-from .refinement import (Neighborhood, build_tree, graph_distances, refine_confidence_avg,
+from .refinement import (build_tree, graph_distances, refine_confidence_avg,
                          refine_distance_weighted, refine_majority)
 from .thresholding import apply_threshold, class_thresholds, histogram, static_thresholds
 
@@ -160,8 +160,8 @@ def _lift(cfg: PipelineConfig, scan: Scan):
         rig = io.read_calib(scan.calib, image_size=prob_map.shape[1::-1], camera=cam)
         try:
             r, m = lift_probs(prob_map, cloud, rig, sampling=cfg.lift_sampling)
-        except NotADistribution as exc:
-            raise NotADistribution(f"{path}: {exc}") from exc
+        except (NotADistribution, DimMismatch) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
         lifted.append(r)
         masks.append(m)
     if len(lifted) == 1:
@@ -183,17 +183,13 @@ def _prune_graphs(scan: Scan, keep: Path | None = None) -> None:
                 path.unlink(missing_ok=True)
 
 
-def _neighborhood(scan: Scan, cloud, mask: FovMask, k: int, include_self: bool,
-                  with_dist: bool) -> tuple[Neighborhood, Path | None]:
-    """The scan's exact K-neighbor graph, read from knn/ when its key matches.
+def _neighborhood(scan: Scan, cloud, mask: FovMask, k: int, include_self: bool, with_dist: bool):
+    """The scan's exact K-neighbor graph, (idx, dist, store), read from knn/ when its key matches.
 
     The file name carries a digest of the in-FOV xyz, k, include_self and
-    KNN_FORMAT, so a lookup is one stat.  A hit imports no scipy and
-    rebuilds the distances only when `with_dist`; it returns no path.  A
-    miss returns a graph over a new kd-tree, which the refine call searches
-    on first use, and the path to store the graph at.  (A search ahead of
-    the refine call left more freed heap untrimmed on some scans, raising
-    the peak RSS of a jobs-1 pipeline.)
+    KNN_FORMAT, so a lookup is one stat.  A hit imports no scipy, rebuilds
+    `dist` only when `with_dist` (else None) and has no `store` path.  A
+    miss searches a new kd-tree; `store` is where to keep its graph.
     """
     import hashlib  # only refinement needs it; it costs every command ~6 ms to import
 
@@ -209,37 +205,38 @@ def _neighborhood(scan: Scan, cloud, mask: FovMask, k: int, include_self: bool,
             raise DimMismatch(f"{path}: neighbor graph is {idx.dtype}, expected uint32")
         if idx.max() >= m:
             raise FormatError(f"{path}: neighbor {idx.max()} outside {m} indexed points")
-        dist = graph_distances(points, idx) if with_dist else None
-        return Neighborhood(mask.index_map, len(cloud), k, include_self, idx=idx, dist=dist), None
-    return Neighborhood(mask.index_map, len(cloud), k, include_self,
-                        tree=build_tree(cloud, mask)), path
+        return idx, graph_distances(points, idx) if with_dist else None, None
+    idx, dist = build_tree(cloud, mask).neighbors(k, include_self)
+    return idx, dist, path
 
 
 def _refine(cfg: PipelineConfig, scan: Scan, cloud, rows: np.ndarray, mask: FovMask) -> np.ndarray:
     """Refine one scan's in-view rows; write its labels and confidences, return the label counts."""
     ref = cfg.refinement
+    labels = np.full(len(cloud), IGNORE_ID, dtype=np.uint16)
     conf = np.zeros(len(cloud), dtype=np.float32)
-    # Sparse scans must not abort a batch: clamp k to the indexed points
-    # (keeping it odd) and fall back to all-ignore when nothing is indexed.
+    # Points out of view keep IGNORE_ID and confidence 0.  Sparse scans must
+    # not abort a batch: clamp k to the indexed points (keeping it odd) and
+    # fall back to all-ignore when nothing is indexed.
     limit = mask.count if ref.include_self else mask.count - 1
     if limit < 1:
         _prune_graphs(scan)
-        labels = np.zeros(len(cloud), dtype=np.uint16)
     else:
         k = min(ref.k, limit)
         if k % 2 == 0:
             k -= 1
-        graph, store = _neighborhood(scan, cloud, mask, k, ref.include_self,
-                                     with_dist=ref.scheme == "distance_weighted")
+        idx, dist, store = _neighborhood(scan, cloud, mask, k, ref.include_self,
+                                         with_dist=ref.scheme == "distance_weighted")
         if ref.scheme == "majority":
-            labels = refine_majority(rows, graph, k, ref.include_self, ref.tie_break)
+            winners = refine_majority(rows, idx, ref.tie_break)
         elif ref.scheme == "distance_weighted":
-            labels = refine_distance_weighted(rows, graph, k, ref.include_self)
+            winners = refine_distance_weighted(rows, idx, dist)
         else:  # the confidence is read from the averaged rows
-            labels, rows = refine_confidence_avg(rows, graph, k, ref.include_self)
-        if store is not None:  # a miss: keep the graph the refine searched
-            io.write_tensor(graph.idx.astype(np.uint32), store)
+            winners, rows = refine_confidence_avg(rows, idx)
+        if store is not None:  # a miss: keep the graph just searched
+            io.write_tensor(idx.astype(np.uint32), store)
             _prune_graphs(scan, keep=store)
+        labels[mask.index_map] = winners
         conf[mask.index_map] = rows.max(axis=1)
     io.write_labels(labels, scan.output(D_REFINED, ".label"))
     io.write_tensor(conf, scan.output(D_CONF))
@@ -373,6 +370,7 @@ def _threshold(cfg: PipelineConfig, scans: list[Scan], class_map: ClassMap, coun
 
 def _read_histogram_csv(path: Path, num_classes: int) -> np.ndarray:
     counts = np.zeros(num_classes, dtype=np.int64)
+    seen = set()
     for lineno, cid, count in io._csv_pairs(path):
         try:
             i, n = int(cid), int(count)
@@ -380,6 +378,11 @@ def _read_histogram_csv(path: Path, num_classes: int) -> np.ndarray:
             raise ConfigError(f"{path}:{lineno}: bad histogram row") from exc
         if not 0 <= i < num_classes:
             raise ConfigError(f"{path}:{lineno}: class {i} outside the class map")
+        if n < 0:
+            raise ConfigError(f"{path}:{lineno}: negative count {n}")
+        if i in seen:
+            raise ConfigError(f"{path}:{lineno}: duplicate class {i}")
+        seen.add(i)
         counts[i] = n
     return counts
 

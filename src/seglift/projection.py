@@ -130,8 +130,8 @@ def lift_probs(prob_map: np.ndarray, cloud: PointCloud, rig: CalibrationRig,
     saying which points they belong to.
     """
     prob_map = np.asarray(prob_map)
-    if prob_map.ndim != 3:
-        raise DimMismatch(f"prob_map must be (H, W, C), got shape {prob_map.shape}")
+    if prob_map.ndim != 3 or prob_map.shape[2] == 0:
+        raise DimMismatch(f"prob_map must be (H, W, C) with C >= 1, got shape {prob_map.shape}")
     if prob_map.shape[0] != rig.height or prob_map.shape[1] != rig.width:
         raise DimMismatch(
             f"prob_map is {prob_map.shape[1]}x{prob_map.shape[0]} pixels, "

@@ -13,12 +13,12 @@ already, and widened, doubling, until it extends past the tie group at
 the cut: its farthest candidate lies strictly beyond the last neighbor
 kept, or it holds every point.
 
-The schemes take the (M, C) probability rows of the M indexed points, in
-`index_map` order, and return labels for all N points of the cloud.
-
-A `Neighborhood` hands the schemes one graph, stored or searched on
-first use, in place of a KdTree; `graph_distances` rebuilds a stored
-graph's distances with the search's own expression, so they are bit-equal.
+The schemes are votes over a given neighbor graph: the (M, C)
+probability rows of M points and an (M, K) `idx` whose row q holds the
+positions, within those M rows, of point q's neighbors.  They return one
+winning class per point; the graph may come from `KdTree.neighbors` or
+from storage, and `graph_distances` rebuilds a stored graph's distances
+with the search's own expression, so they are bit-equal.
 
 Votes are summed by one `np.bincount` over the row-major (M, K) neighbor
 layout, so each (point, class) bin adds in neighbor order and its float
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import IGNORE_ID, PointCloud
+from .core import PointCloud
 from .errors import BadK, DimMismatch, EmptyInput
 from .projection import _as_mask
 
@@ -54,7 +54,6 @@ class KdTree:
 
     points: np.ndarray     # (M, 3) float64, the indexed subset
     index_map: np.ndarray  # (M,) positions of the subset in the original cloud
-    n_total: int           # size of the original cloud
     _kd: cKDTree = field(repr=False)
 
     def __len__(self) -> int:
@@ -125,31 +124,6 @@ def graph_distances(points: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.sqrt(_squared_distances(points, idx, slice(None)))
 
 
-@dataclass(eq=False)
-class Neighborhood:
-    """The neighbor graph of one (k, include_self) over an indexed subset; refines like a KdTree.
-
-    The graph is either given (`idx`, plus `dist` when a scheme needs
-    distances) or searched in `tree` by the first `neighbors` call and kept.
-    """
-
-    index_map: np.ndarray               # (M,) positions of the subset in the original cloud
-    n_total: int                        # size of the original cloud
-    k: int
-    include_self: bool
-    tree: KdTree | None = None
-    idx: np.ndarray | None = None       # (M, k) positions in the indexed subset
-    dist: np.ndarray | None = None      # (M, k) distances
-
-    def neighbors(self, k: int, include_self: bool = True):
-        if (k, include_self) != (self.k, self.include_self):
-            raise BadK(f"graph holds k={self.k}, include_self={self.include_self}; "
-                       f"asked for k={k}, include_self={include_self}")
-        if self.idx is None:
-            self.idx, self.dist = self.tree.neighbors(k, include_self)
-        return self.idx, self.dist
-
-
 def build_tree(cloud: PointCloud, mask=None) -> KdTree:
     """Index the masked points (all points if mask is None)."""
     n = len(cloud)
@@ -164,25 +138,17 @@ def build_tree(cloud: PointCloud, mask=None) -> KdTree:
     pts = np.ascontiguousarray(cloud.xyz[index_map], dtype=np.float64)
     # Sliding-midpoint splits build and query faster than median splits;
     # the contract order comes from `_probe`'s re-sort, not from the tree.
-    return KdTree(points=pts, index_map=index_map, n_total=n,
-                  _kd=cKDTree(pts, balanced_tree=False))
+    return KdTree(points=pts, index_map=index_map, _kd=cKDTree(pts, balanced_tree=False))
 
 
-def _indexed_rows(rows: np.ndarray, tree: KdTree, k: int) -> np.ndarray:
-    """`rows` as float64, once its shape (one row per indexed point) and `k` are checked."""
+def _graph_rows(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """`rows` as float64, once its shape fits the (M, k) graph `idx` and k is odd."""
     rows = np.asarray(rows)
-    m = tree.index_map.shape[0]
-    if rows.ndim != 2 or rows.shape[0] != m:
-        raise DimMismatch(f"rows must be ({m}, C), one per indexed point, got {rows.shape}")
-    if k % 2 == 0:
-        raise BadK(f"k must be odd, got {k}")
+    if idx.ndim != 2 or rows.ndim != 2 or rows.shape[0] != idx.shape[0]:
+        raise DimMismatch(f"rows {rows.shape} and graph {idx.shape} must be (M, C) and (M, k)")
+    if idx.shape[1] % 2 == 0:
+        raise BadK(f"k must be odd, got {idx.shape[1]}")
     return rows.astype(np.float64, copy=False)
-
-
-def _scatter_labels(tree: KdTree, winners: np.ndarray) -> np.ndarray:
-    out = np.full(tree.n_total, IGNORE_ID, dtype=np.uint16)
-    out[tree.index_map] = winners.astype(np.uint16)
-    return out
 
 
 def _votes(neighbor_labels: np.ndarray, c: int, weights=None) -> np.ndarray:
@@ -194,37 +160,33 @@ def _votes(neighbor_labels: np.ndarray, c: int, weights=None) -> np.ndarray:
     return np.bincount(bins, weights, minlength=m * c).reshape(m, c)
 
 
-def refine_majority(rows: np.ndarray, tree: KdTree, k: int,
-                    include_self: bool = True, tie_break: str = "lowest") -> np.ndarray:
-    """Most frequent argmax label among the K neighbors.
+def refine_majority(rows: np.ndarray, idx: np.ndarray, tie_break: str = "lowest") -> np.ndarray:
+    """Most frequent argmax label among each point's neighbors in `idx`.
 
     Vote ties resolve to the lowest class id, or to the point's own label
-    with tie_break="keep".  Points outside the indexed subset get IGNORE_ID.
+    with tie_break="keep".
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
-    sub = _indexed_rows(rows, tree, k)
+    sub = _graph_rows(rows, idx)
     labels = np.argmax(sub, axis=1)
-    idx, _ = tree.neighbors(k, include_self)
     votes = _votes(labels[idx], sub.shape[1])
     winners = votes.argmax(axis=1)  # first max -> lowest class id
     if tie_break == "keep":
         top = votes.max(axis=1, keepdims=True)
         tied = (votes == top).sum(axis=1) > 1
         winners = np.where(tied, labels, winners)
-    return _scatter_labels(tree, winners)
+    return winners
 
 
-def refine_distance_weighted(rows: np.ndarray, tree: KdTree, k: int,
-                             include_self: bool = True) -> np.ndarray:
-    """Argmax over classes of summed (1 - softmax(distances)) neighbor weights.
+def refine_distance_weighted(rows: np.ndarray, idx: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Argmax over classes of summed (1 - softmax(dist)) neighbor weights.
 
     Closer neighbors carry more weight; equal distances degrade to plain
     majority voting.  Ties resolve to the lowest class id.
     """
-    sub = _indexed_rows(rows, tree, k)
+    sub = _graph_rows(rows, idx)
     labels = np.argmax(sub, axis=1)
-    idx, dist = tree.neighbors(k, include_self)
     e = np.exp(dist - dist.max(axis=1, keepdims=True))
     weights = 1.0 - e / e.sum(axis=1, keepdims=True)
     neighbor_labels = labels[idx]
@@ -232,21 +194,20 @@ def refine_distance_weighted(rows: np.ndarray, tree: KdTree, k: int,
     # Only classes that received a vote compete; at k=1 every weight is
     # zero, which must still return the self label, not class 0.
     acc[_votes(neighbor_labels, sub.shape[1]) == 0] = -np.inf
-    return _scatter_labels(tree, acc.argmax(axis=1))
+    return acc.argmax(axis=1)
 
 
-def refine_confidence_avg(rows: np.ndarray, tree: KdTree, k: int,
-                          include_self: bool = True):
-    """Unweighted mean of the K neighbors' probability rows.
+def refine_confidence_avg(rows: np.ndarray, idx: np.ndarray):
+    """Unweighted mean of each point's neighbors' probability rows.
 
     Returns (labels, refined): the argmax of each averaged row (ties ->
-    lowest class id) and the (M, C) float64 averaged rows of the indexed
-    points.  Averaging normalized rows keeps the output normalized.
+    lowest class id) and the (M, C) float64 averaged rows.  Averaging
+    normalized rows keeps the output normalized.
     """
-    sub = _indexed_rows(rows, tree, k)
-    idx, _ = tree.neighbors(k, include_self)
+    sub = _graph_rows(rows, idx)
+    k = idx.shape[1]
     acc = np.zeros_like(sub)
     for j in range(k):
         acc += sub[idx[:, j]]
     refined = acc / k
-    return _scatter_labels(tree, refined.argmax(axis=1)), refined
+    return refined.argmax(axis=1), refined

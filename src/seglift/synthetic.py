@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import CalibrationRig, ClassMap, PointCloud
 from .errors import DegenerateSpec, ParseError
-from .projection import fov_mask, project_points
+from .projection import _in_view, project_points
 
 DEFAULT_CLASS_NAMES = ("unlabeled", "road", "building", "car", "pole")
 
@@ -229,9 +229,8 @@ def render_scene(spec: SceneSpec) -> RenderedScene:
     # (sub-pixel silhouette quantization); keeps zero-noise lifting exact.
     class_img = pixel_class_image(spec)
     u, v, depth = project_points(cloud, rig)
-    inside = fov_mask(cloud, rig).mask
     consistent = np.ones(len(cloud), dtype=bool)
-    idx = np.flatnonzero(inside)
+    idx = _in_view(u, v, depth, rig).index_map
     if idx.size:
         pix = class_img[np.floor(v[idx]).astype(np.int64), np.floor(u[idx]).astype(np.int64)]
         consistent[idx] = pix == labels[idx]

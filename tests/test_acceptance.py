@@ -108,8 +108,9 @@ def refined_corpus(lifted_corpus):
     """Confidence-averaged (k=19) labels and confidences per scan."""
     out = []
     for cloud, gt, rows, mask in lifted_corpus:
-        tree = build_tree(cloud, mask)
-        labels, refined = refine_confidence_avg(rows, tree, 19)
+        idx, _ = build_tree(cloud, mask).neighbors(19, True)
+        winners, refined = refine_confidence_avg(rows, idx)
+        labels = scatter(winners, mask.index_map, np.zeros(len(cloud), dtype=np.uint16))
         conf = np.zeros(len(cloud))
         conf[mask.index_map] = refined.max(axis=1)
         out.append((gt, labels, conf, mask))
@@ -153,16 +154,15 @@ def test_criterion_2_knn_oracle_equivalence():
             for k in ks:
                 if k > n:
                     continue
+                idx, dist = tree.neighbors(k, True)
                 bidx, bdist = bidx_all[:, :k], bdist_all[:, :k]
-                np.testing.assert_array_equal(
-                    refine_majority(probs, tree, k),
-                    majority_brute(probs, bidx).astype(np.uint16))
-                np.testing.assert_array_equal(
-                    refine_distance_weighted(probs, tree, k),
-                    distance_weighted_brute(probs, bidx, bdist).astype(np.uint16))
-                labels, refined = refine_confidence_avg(probs, tree, k)
+                np.testing.assert_array_equal(refine_majority(probs, idx),
+                                              majority_brute(probs, bidx))
+                np.testing.assert_array_equal(refine_distance_weighted(probs, idx, dist),
+                                              distance_weighted_brute(probs, bidx, bdist))
+                labels, refined = refine_confidence_avg(probs, idx)
                 blabels, brefined = confidence_avg_brute(probs, bidx)
-                np.testing.assert_array_equal(labels, blabels.astype(np.uint16))
+                np.testing.assert_array_equal(labels, blabels)
                 np.testing.assert_array_equal(refined, brefined)
 
 
@@ -174,17 +174,19 @@ def test_criterion_3_refinement_improves_noisy_corpus(lifted_corpus):
         cms = {scheme: ConfusionMatrix(num_classes)
                for scheme in ("confidence_avg", "majority", "distance_weighted")}
         for cloud, gt, rows, mask in lifted_corpus:
-            base = np.zeros(len(cloud), dtype=np.uint16)
-            base[mask.index_map] = rows.argmax(axis=1)
+            def full(winners):  # one label per cloud point, ignore out of view
+                return scatter(winners, mask.index_map, np.zeros(len(cloud), dtype=np.uint16))
+
+            base = full(rows.argmax(axis=1))
             tree = build_tree(cloud, mask)
-            k19, _ = refine_confidence_avg(rows, tree, 19)
-            k1, _ = refine_confidence_avg(rows, tree, 1)
-            np.testing.assert_array_equal(k1, base)  # k=1 == unrefined, exactly
+            idx, dist = tree.neighbors(19, True)
+            k1, _ = refine_confidence_avg(rows, tree.neighbors(1, True)[0])
+            np.testing.assert_array_equal(full(k1), base)  # k=1 == unrefined, exactly
             cm_base.update(gt, base, mask)
-            cms["confidence_avg"].update(gt, k19, mask)
-            cms["majority"].update(gt, refine_majority(rows, tree, 19), mask)
+            cms["confidence_avg"].update(gt, full(refine_confidence_avg(rows, idx)[0]), mask)
+            cms["majority"].update(gt, full(refine_majority(rows, idx)), mask)
             cms["distance_weighted"].update(
-                gt, refine_distance_weighted(rows, tree, 19), mask)
+                gt, full(refine_distance_weighted(rows, idx, dist)), mask)
         _, miou_base = iou(cm_base)
         mious = {scheme: iou(cm)[1] for scheme, cm in cms.items()}
         gain = 100.0 * (mious["confidence_avg"] - miou_base)

@@ -13,8 +13,10 @@ import pytest
 
 import seglift
 import seglift.cli
+from oracles import confidence_avg_brute, distance_weighted_brute, majority_brute
 from seglift import io
 from seglift.cli import main
+from seglift.refinement import graph_distances
 
 
 def run(args):
@@ -108,6 +110,36 @@ class TestStages:
             assert run(["stats", *cm, "--output-root", out_b]) == 0
         assert run(["threshold", *cm, "--output-root", out_b]) == 0
         assert tree_digest(out_a) == tree_digest(out_b)
+
+    @pytest.mark.parametrize("scheme", ["confidence_avg", "majority", "distance_weighted"])
+    def test_refine_scatters_the_graph_votes_and_ignores_points_out_of_view(
+            self, corpus, tmp_path, scheme):
+        """In view, each label is the scheme's oracle vote over the stored graph;
+        out of view, the label is IGNORE_ID and the confidence 0."""
+        out = tmp_path / "out"
+        base = ["--dataset-root", corpus, "--output-root", out]
+        assert run(["lift", *base]) == 0
+        assert run(["refine", *base, "--scheme", scheme, "--k", "5"]) == 0
+        seq = out / "sequences" / "00"
+        for stem in ("000000", "000001"):
+            view = io.read_tensor(seq / "fov_mask" / f"{stem}.ptns").astype(bool)
+            rows = io.read_tensor(seq / "probs_3d" / f"{stem}.ptns")
+            [graph_path] = (seq / "knn").glob(f"{stem}.*.ptns")
+            idx = io.read_tensor(graph_path)
+            labels, _ = io.read_labels(seq / "refined_labels" / f"{stem}.label")
+            conf = io.read_tensor(seq / "confidences" / f"{stem}.ptns")
+            assert view.any() and (~view).any()
+            assert not labels[~view].any() and not conf[~view].any()
+            if scheme == "majority":
+                expected = majority_brute(rows, idx)
+            elif scheme == "distance_weighted":
+                xyz = io.read_cloud_bin(corpus / "sequences" / "00" / "velodyne" / f"{stem}.bin").xyz
+                expected = distance_weighted_brute(rows, idx, graph_distances(xyz[view], idx))
+            else:
+                expected, averaged = confidence_avg_brute(rows, idx)
+                np.testing.assert_array_equal(conf[view], averaged.max(axis=1).astype(np.float32))
+            np.testing.assert_array_equal(labels[view], expected)
+            assert (conf[view] > 0).all()
 
     def test_rerun_is_byte_identical(self, corpus, tmp_path):
         out = tmp_path / "out"
@@ -443,6 +475,25 @@ class TestExitCodes:
         assert run(["threshold", "--output-root", out,
                     "--class-map", corpus / "class_map.csv"]) == 2
 
+    @pytest.mark.parametrize("row, lineno, message", [
+        ("1,-50000", 2, "negative count -50000"),
+        ("1,7", 6, "duplicate class 1"),
+    ], ids=["negative-count", "repeated-class"])
+    def test_bad_histogram_row_is_config_error_naming_its_line(self, corpus, tmp_path, capsys,
+                                                               row, lineno, message):
+        out = tmp_path / "out"
+        cm = ["--output-root", out, "--class-map", corpus / "class_map.csv"]
+        assert run(["pipeline", "--dataset-root", corpus, *cm]) == 0
+        hist = out / "histogram.csv"
+        lines = hist.read_text().splitlines()
+        lines[lineno - 1:lineno] = [row]  # replaces class 1's count, or adds a 6th line
+        hist.write_text("\n".join(lines) + "\n")
+        thresholds = (out / "thresholds.csv").read_bytes()
+        capsys.readouterr()
+        assert run(["threshold", *cm]) == 2
+        assert f"{hist}:{lineno}: {message}" in capsys.readouterr().err
+        assert (out / "thresholds.csv").read_bytes() == thresholds
+
     @pytest.mark.parametrize("subdir", ["fov_mask", "probs_3d"])
     def test_lift_output_not_fitting_the_cloud_names_its_file(self, corpus, tmp_path, capsys,
                                                               subdir):
@@ -477,7 +528,8 @@ class TestFilesThatDoNotFit:
         return out
 
     @pytest.mark.parametrize("row", [
-        "lift-teacher-map", "pipeline-teacher-map", "refine-fov-mask", "refine-probs-3d",
+        "lift-teacher-map", "pipeline-teacher-map", "lift-teacher-map-no-classes",
+        "pipeline-teacher-map-no-classes", "refine-fov-mask", "refine-probs-3d",
         "refine-knn-graph", "slice-fov-mask", "slice-labels", "threshold-confidences",
         "threshold-static-refined-labels", "eval-pred", "eval-masks", "tta-aggregate-variant",
     ])
@@ -492,6 +544,9 @@ class TestFilesThatDoNotFit:
         command, path = {
             "lift-teacher-map": (["lift", *roots], src / "probs_2d" / "000001.ptns"),
             "pipeline-teacher-map": (["pipeline", *roots, *cm], src / "probs_2d" / "000001.ptns"),
+            "lift-teacher-map-no-classes": (["lift", *roots], src / "probs_2d" / "000001.ptns"),
+            "pipeline-teacher-map-no-classes": (["pipeline", *roots, *cm],
+                                                src / "probs_2d" / "000001.ptns"),
             "refine-fov-mask": (["refine", *roots], dst / "fov_mask" / "000001.ptns"),
             "refine-probs-3d": (["refine", *roots], dst / "probs_3d" / "000001.ptns"),
             "refine-knn-graph": (["refine", *roots], *(dst / "knn").glob("000001.*.ptns")),
@@ -512,7 +567,9 @@ class TestFilesThatDoNotFit:
                 for i in range(12):
                     io.write_tensor(np.full((4, 3), 0.25, np.float32),
                                     src / "tta" / f"{stem}_v{i:02d}.ptns")
-        if "teacher-map" in row:  # (H, W) instead of (H, W, C)
+        if row.endswith("no-classes"):  # (H, W, 0)
+            io.write_tensor(np.zeros((*io.read_tensor(path).shape[:2], 0), np.float32), path)
+        elif "teacher-map" in row:  # (H, W) instead of (H, W, C)
             io.write_tensor(io.read_tensor(path)[..., 0].copy(), path)
         elif row.startswith("threshold-static"):  # a class outside the class map
             labels, _ = io.read_labels(path)

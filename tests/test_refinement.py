@@ -19,10 +19,9 @@ from oracles import (
     knn_brute,
     majority_brute,
 )
-from seglift.core import IGNORE_ID, PointCloud
+from seglift.core import PointCloud
 from seglift.errors import BadK, DimMismatch, EmptyInput
 from seglift.refinement import (
-    Neighborhood,
     _votes,
     build_tree,
     graph_distances,
@@ -45,6 +44,11 @@ def random_cloud(n, seed, span=10.0):
 def random_probs(n, c, seed):
     rng = np.random.default_rng(seed)
     return rng.dirichlet(np.ones(c), size=n)
+
+
+def graph(cloud, k, include_self=True):
+    """The exact (idx, dist) K-neighbor graph of every point of `cloud`."""
+    return build_tree(cloud).neighbors(k, include_self)
 
 
 class TestKdTreeQueries:
@@ -137,38 +141,37 @@ class TestKdTreeQueries:
 class TestRefineMajority:
     def test_k1_is_per_point_argmax(self):
         probs = random_probs(100, 5, 1)
-        tree = build_tree(random_cloud(100, 1))
-        labels = refine_majority(probs, tree, 1)
-        np.testing.assert_array_equal(labels, probs.argmax(axis=1).astype(np.uint16))
+        idx, _ = graph(random_cloud(100, 1), 1)
+        np.testing.assert_array_equal(refine_majority(probs, idx), probs.argmax(axis=1))
 
     def test_strict_majority_wins(self):
         # Three clustered points: two vote class 1, one votes class 2.
         cloud = cloud_from([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]])
         probs = np.array([[0.0, 0.9, 0.1], [0.0, 0.8, 0.2], [0.0, 0.2, 0.8]])
-        labels = refine_majority(probs, build_tree(cloud), 3)
+        labels = refine_majority(probs, graph(cloud, 3)[0])
         assert labels.tolist() == [1, 1, 1]
 
     def test_three_way_tie_takes_lowest_class(self):
         cloud = cloud_from([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]])
         probs = np.array([[0.0, 0.0, 0.9, 0.1], [0.0, 0.9, 0.0, 0.1], [0.0, 0.0, 0.1, 0.9]])
-        labels = refine_majority(probs, build_tree(cloud), 3)
+        labels = refine_majority(probs, graph(cloud, 3)[0])
         assert labels.tolist() == [1, 1, 1]
 
     def test_keep_tie_break_retains_own_label(self):
         cloud = cloud_from([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]])
         probs = np.array([[0.0, 0.0, 0.9, 0.1], [0.0, 0.9, 0.0, 0.1], [0.0, 0.0, 0.1, 0.9]])
-        labels = refine_majority(probs, build_tree(cloud), 3, tie_break="keep")
+        labels = refine_majority(probs, graph(cloud, 3)[0], tie_break="keep")
         assert labels.tolist() == [2, 1, 3]
 
     def test_even_k_rejected(self):
-        tree = build_tree(random_cloud(10, 2))
+        idx, _ = graph(random_cloud(10, 2), 2)
         with pytest.raises(BadK):
-            refine_majority(random_probs(10, 3, 2), tree, 2)
+            refine_majority(random_probs(10, 3, 2), idx)
 
     def test_wrong_row_count_rejected(self):
-        tree = build_tree(random_cloud(10, 3))
+        idx, _ = graph(random_cloud(10, 3), 1)
         with pytest.raises(DimMismatch):
-            refine_majority(random_probs(9, 3, 3), tree, 1)
+            refine_majority(random_probs(9, 3, 3), idx)
 
 
 class TestRefineDistanceWeighted:
@@ -185,56 +188,54 @@ class TestRefineDistanceWeighted:
         e = np.exp(d - d.max())
         w = 1.0 - e / e.sum()
         np.testing.assert_allclose(w, [0.8446, 0.5777, 0.5777], atol=5e-5)
-        labels = refine_distance_weighted(probs, build_tree(cloud), 3)
+        labels = refine_distance_weighted(probs, *graph(cloud, 3))
         assert labels[0] == car
 
     def test_equal_distances_reduce_to_majority(self):
         # Four coincident points: softmax is uniform, so weights are equal.
         cloud = cloud_from([[0, 0, 0]] * 4 + [[9, 9, 9]])
         probs = np.array([[0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 1, 0], [0, 0, 1]], dtype=float)
-        labels_dw = refine_distance_weighted(probs, build_tree(cloud), 3)
-        labels_mj = refine_majority(probs, build_tree(cloud), 3)
+        idx, dist = graph(cloud, 3)
+        labels_dw = refine_distance_weighted(probs, idx, dist)
+        labels_mj = refine_majority(probs, idx)
         np.testing.assert_array_equal(labels_dw, labels_mj)
 
     def test_k1_is_self_label(self):
         probs = random_probs(50, 4, 4)
-        tree = build_tree(random_cloud(50, 4))
-        labels = refine_distance_weighted(probs, tree, 1)
-        np.testing.assert_array_equal(labels, probs.argmax(axis=1).astype(np.uint16))
+        labels = refine_distance_weighted(probs, *graph(random_cloud(50, 4), 1))
+        np.testing.assert_array_equal(labels, probs.argmax(axis=1))
 
 
 class TestRefineConfidenceAvg:
     def test_identical_rows_are_preserved(self):
         row = np.array([0.25, 0.5, 0.25])
         probs = np.tile(row, (10, 1))
-        tree = build_tree(random_cloud(10, 5, span=0.5))
-        _, refined = refine_confidence_avg(probs, tree, 5)
+        idx, _ = graph(random_cloud(10, 5, span=0.5), 5)
+        _, refined = refine_confidence_avg(probs, idx)
         np.testing.assert_allclose(refined, probs)
 
     def test_hand_averaged_rows(self):
         cloud = cloud_from([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]])
         probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.1, 0.9]])
-        labels, refined = refine_confidence_avg(probs, build_tree(cloud), 3)
+        labels, refined = refine_confidence_avg(probs, graph(cloud, 3)[0])
         np.testing.assert_allclose(refined[0], [0.4, 0.6])
         assert labels[0] == 1
 
     def test_k1_returns_input_probs(self):
         probs = random_probs(30, 5, 6)
-        tree = build_tree(random_cloud(30, 6))
-        labels, refined = refine_confidence_avg(probs, tree, 1)
+        labels, refined = refine_confidence_avg(probs, graph(random_cloud(30, 6), 1)[0])
         np.testing.assert_array_equal(refined, probs)
-        np.testing.assert_array_equal(labels, probs.argmax(axis=1).astype(np.uint16))
+        np.testing.assert_array_equal(labels, probs.argmax(axis=1))
 
     def test_rows_stay_normalized(self):
         probs = random_probs(200, 6, 7)
-        tree = build_tree(random_cloud(200, 7))
-        _, refined = refine_confidence_avg(probs, tree, 9)
+        _, refined = refine_confidence_avg(probs, graph(random_cloud(200, 7), 9)[0])
         np.testing.assert_allclose(refined.sum(axis=1), 1.0, atol=1e-5)
         assert refined.min() >= 0.0 and refined.max() <= 1.0
 
 
 class TestOracleEquivalence:
-    """Scheme outputs must equal exhaustive search + direct votes, bitwise."""
+    """Schemes over the tree's graph must equal exhaustive search + direct votes, bitwise."""
 
     @pytest.mark.parametrize("seed", [10, 11, 12])
     @pytest.mark.parametrize("k", [1, 3, 19])
@@ -243,31 +244,27 @@ class TestOracleEquivalence:
         n = int(rng.integers(50, 200))
         cloud = random_cloud(n, seed)
         probs = random_probs(n, 5, seed + 100)
-        tree = build_tree(cloud)
+        idx, dist = graph(cloud, k)
         bidx, bdist = knn_brute(cloud.xyz, k)
 
-        np.testing.assert_array_equal(
-            refine_majority(probs, tree, k), majority_brute(probs, bidx).astype(np.uint16))
-        np.testing.assert_array_equal(
-            refine_distance_weighted(probs, tree, k),
-            distance_weighted_brute(probs, bidx, bdist).astype(np.uint16))
-        labels, refined = refine_confidence_avg(probs, tree, k)
+        np.testing.assert_array_equal(refine_majority(probs, idx), majority_brute(probs, bidx))
+        np.testing.assert_array_equal(refine_distance_weighted(probs, idx, dist),
+                                      distance_weighted_brute(probs, bidx, bdist))
+        labels, refined = refine_confidence_avg(probs, idx)
         blabels, brefined = confidence_avg_brute(probs, bidx)
-        np.testing.assert_array_equal(labels, blabels.astype(np.uint16))
+        np.testing.assert_array_equal(labels, blabels)
         np.testing.assert_array_equal(refined, brefined)
 
-    def test_masked_refinement_scatters_ignore_outside(self):
+    def test_masked_tree_graph_matches_oracle(self):
+        """A masked tree's graph refines the masked rows alone, in index_map order."""
         cloud = random_cloud(60, 13)
         probs = random_probs(60, 4, 13)
-        probs[:, 0] = 0.0  # keep argmax away from the ignore class
         mask = np.zeros(60, dtype=bool)
         mask[10:40] = True
-        tree = build_tree(cloud, mask)
-        labels = refine_majority(probs[mask], tree, 3)
-        assert np.all(labels[~mask] == 0)
+        idx, _ = build_tree(cloud, mask).neighbors(3, True)
         bidx, _ = knn_brute(cloud.xyz[mask], 3)
-        np.testing.assert_array_equal(labels[mask],
-                                      majority_brute(probs[mask], bidx).astype(np.uint16))
+        np.testing.assert_array_equal(refine_majority(probs[mask], idx),
+                                      majority_brute(probs[mask], bidx))
 
 
 def test_permutation_equivariance():
@@ -277,11 +274,10 @@ def test_permutation_equivariance():
     probs = random_probs(150, 5, 14)
     perm = np.arange(150)[::-1]
     inv = np.argsort(perm)
-    tree = build_tree(cloud)
-    tree_p = build_tree(PointCloud(cloud.xyz[perm], cloud.intensity[perm]))
+    cloud_p = PointCloud(cloud.xyz[perm], cloud.intensity[perm])
     for k in (1, 5):
-        base = refine_majority(probs, tree, k)
-        permuted = refine_majority(probs[perm], tree_p, k)
+        base = refine_majority(probs, graph(cloud, k)[0])
+        permuted = refine_majority(probs[perm], graph(cloud_p, k)[0])
         np.testing.assert_array_equal(permuted[inv], base)
 
 
@@ -382,26 +378,21 @@ def test_stored_graph_distances_bit_equal_to_search(query, spacing, offset):
 
 @pytest.mark.parametrize("include_self", [True, False])
 def test_every_scheme_refines_a_stored_graph_like_its_tree(include_self):
+    """A graph as stored (uint32, distances rebuilt) refines like the search's (int64) graph."""
     xyz = np.round(np.random.default_rng(31).uniform(0, 4, (300, 3)))  # many ties
     mask = np.random.default_rng(32).random(300) < 0.7
-    probs = random_probs(300, 5, 33)
+    rows = random_probs(300, 5, 33)[mask]
     tree = build_tree(cloud_from(xyz), mask)
-    idx, _ = tree.neighbors(7, include_self)
+    idx, dist = tree.neighbors(7, include_self)
     stored = idx.astype(np.uint32)
-    graph = Neighborhood(tree.index_map, tree.n_total, 7, include_self, idx=stored,
-                         dist=graph_distances(tree.points, stored))
+    stored_dist = graph_distances(tree.points, stored)
     for tie_break in ("lowest", "keep"):
-        np.testing.assert_array_equal(refine_majority(probs[mask], graph, 7, include_self, tie_break),
-                                      refine_majority(probs[mask], tree, 7, include_self, tie_break))
-    np.testing.assert_array_equal(refine_distance_weighted(probs[mask], graph, 7, include_self),
-                                  refine_distance_weighted(probs[mask], tree, 7, include_self))
-    for a, b in zip(refine_confidence_avg(probs[mask], graph, 7, include_self),
-                    refine_confidence_avg(probs[mask], tree, 7, include_self)):
+        np.testing.assert_array_equal(refine_majority(rows, stored, tie_break),
+                                      refine_majority(rows, idx, tie_break))
+    np.testing.assert_array_equal(refine_distance_weighted(rows, stored, stored_dist),
+                                  refine_distance_weighted(rows, idx, dist))
+    for a, b in zip(refine_confidence_avg(rows, stored), refine_confidence_avg(rows, idx)):
         np.testing.assert_array_equal(a, b)
-    with pytest.raises(BadK):
-        refine_majority(probs[mask], graph, 5, include_self)
-    with pytest.raises(BadK):
-        refine_majority(probs[mask], graph, 7, not include_self)
 
 
 @pytest.mark.parametrize("include_self", [True, False])
@@ -454,11 +445,49 @@ def duplicated_clouds(draw):
 @given(duplicated_clouds())
 def test_k1_with_self_is_identity_for_every_scheme(case):
     xyz, probs, mask = case
-    tree = build_tree(cloud_from(xyz), mask)
-    own = np.where(mask, probs.argmax(axis=1), IGNORE_ID).astype(np.uint16)
+    rows = probs[mask]
+    idx, dist = build_tree(cloud_from(xyz), mask).neighbors(1, True)
+    own = rows.argmax(axis=1)
     for tie_break in ("lowest", "keep"):
-        np.testing.assert_array_equal(refine_majority(probs[mask], tree, 1, True, tie_break), own)
-    np.testing.assert_array_equal(refine_distance_weighted(probs[mask], tree, 1, True), own)
-    labels, refined = refine_confidence_avg(probs[mask], tree, 1, True)
+        np.testing.assert_array_equal(refine_majority(rows, idx, tie_break), own)
+    np.testing.assert_array_equal(refine_distance_weighted(rows, idx, dist), own)
+    labels, refined = refine_confidence_avg(rows, idx)
     np.testing.assert_array_equal(labels, own)
-    np.testing.assert_array_equal(refined, probs[mask])
+    np.testing.assert_array_equal(refined, rows)
+
+
+@st.composite
+def arbitrary_graphs(draw):
+    """(M, C) rows, an odd-k (M, k) graph of any positions in [0, M), repeats
+    and self-omission allowed, as uint32 or int64, and non-negative distances.
+    Quarter-step rows and distances from {0, 1, 2} make argmax, vote and
+    weight ties common."""
+    m = draw(st.integers(1, 40))
+    c = draw(st.integers(1, 6))
+    k = draw(st.sampled_from([1, 3, 5, 7, 9, 19]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.random((m, c))
+    if draw(st.booleans()):
+        rows = np.round(rows * 4) / 4
+    idx = rng.integers(0, m, (m, k)).astype(draw(st.sampled_from([np.uint32, np.int64])))
+    if draw(st.booleans()):
+        dist = rng.choice([0.0, 1.0, 2.0], (m, k))
+    else:
+        dist = rng.uniform(0.0, draw(st.sampled_from([1e-3, 1.0, 1e3])), (m, k))
+    return rows, idx, dist
+
+
+@settings(max_examples=150, deadline=None)
+@given(arbitrary_graphs())
+def test_schemes_equal_oracles_on_arbitrary_graphs(case):
+    """Graphs no search produces: each scheme's M results equal its oracle's, bit for bit."""
+    rows, idx, dist = case
+    for tie_break in ("lowest", "keep"):
+        np.testing.assert_array_equal(refine_majority(rows, idx, tie_break),
+                                      majority_brute(rows, idx, tie_break))
+    np.testing.assert_array_equal(refine_distance_weighted(rows, idx, dist),
+                                  distance_weighted_brute(rows, idx, dist))
+    labels, refined = refine_confidence_avg(rows, idx)
+    blabels, brefined = confidence_avg_brute(rows, idx)
+    np.testing.assert_array_equal(labels, blabels)
+    np.testing.assert_array_equal(refined, brefined)

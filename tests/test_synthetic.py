@@ -94,10 +94,9 @@ class TestSimulateTeacher:
         scene = render_scene(spec)
         prob_map = simulate_teacher(spec, 0.0, 0.0, seed=2)
         probs, mask = projection.lift_probs(prob_map, scene.cloud, scene.rig)
-        tree = refinement.build_tree(scene.cloud, mask)
-        labels, _ = refinement.refine_confidence_avg(probs.astype(np.float64), tree, 1)
-        np.testing.assert_array_equal(labels[mask.mask], scene.labels[mask.mask])
-        assert np.all(labels[~mask.mask] == 0)
+        idx, _ = refinement.build_tree(scene.cloud, mask).neighbors(1, True)
+        labels, _ = refinement.refine_confidence_avg(probs.astype(np.float64), idx)
+        np.testing.assert_array_equal(labels, scene.labels[mask.index_map])
 
     def test_rows_normalized(self):
         spec = random_scene_spec(23)
