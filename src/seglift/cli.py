@@ -24,9 +24,10 @@ from pathlib import Path
 
 # `--jobs` worker processes are seglift's only parallelism and no command
 # makes a BLAS call, so an OpenBLAS thread pool could only spin.  OpenBLAS
-# reads its thread count once, when numpy (or scipy, in build_tree) loads
-# it, so the pin precedes every numpy import; a caller's value wins.
-# `soup` runs its metric command without the pin.
+# reads its thread count once, when numpy loads it (build_tree loads only
+# scipy's kd-tree, not scipy's own OpenBLAS), so the pin precedes every
+# numpy import; a caller's value wins.  `soup` runs its metric command
+# without the pin.
 _PINNED = "OPENBLAS_NUM_THREADS" not in os.environ
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -195,7 +196,7 @@ def _neighborhood(scan: Scan, cloud, mask: FovMask, k: int, include_self: bool, 
 
     points = np.ascontiguousarray(cloud.xyz[mask.index_map], dtype=np.float64)
     key = hashlib.blake2b(KNN_FORMAT, digest_size=8)
-    key.update(points.tobytes())
+    key.update(points)  # the contiguous buffer itself, without a copy
     key.update(f"k={k},include_self={include_self}".encode())
     path = scan.output(D_KNN, f".{key.hexdigest()}.ptns")
     if path.is_file():
@@ -474,6 +475,8 @@ def cmd_eval(args) -> int:
     if args.out:
         with io.atomic_write(args.out) as fh:
             fh.write(result.to_csv().encode())
+        with io.atomic_write(Path(args.out).with_suffix(".confusion.csv")) as fh:
+            np.savetxt(fh, result.matrix.counts, fmt="%d", delimiter=",")
     return 0
 
 
@@ -589,7 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--class-map", required=True)
     sp.add_argument("--masks", help="directory of fov masks (.ptns) to restrict scoring")
     sp.add_argument("--remap", help="CSV raw_id,train_id remap applied to ground truth")
-    sp.add_argument("--out", help="write the CSV summary here")
+    sp.add_argument("--out", help="write the CSV summary here, and the summed confusion "
+                    "matrix (rows ground truth, columns predictions) as <stem>.confusion.csv")
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("tta", help="emit the 12 variants / aggregate their predictions")

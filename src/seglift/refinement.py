@@ -27,17 +27,21 @@ sum is reproducible against a direct per-point reimplementation.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import PointCloud
 from .errors import BadK, DimMismatch, EmptyInput
-from .projection import _as_mask
+from .projection import FovMask, _as_mask
 
-# scipy.spatial takes most of the package's import time and only build_tree
-# needs it, so it imports it there; commands that build no tree never load it.
+# Only build_tree needs scipy, and `_ckdtree` loads only its kd-tree
+# extension; commands that build no tree never load scipy.
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
 
@@ -124,21 +128,44 @@ def graph_distances(points: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.sqrt(_squared_distances(points, idx, slice(None)))
 
 
+def _ckdtree() -> type:
+    """scipy's cKDTree, loaded from its extension alone.
+
+    scipy.spatial's __init__ would also load qhull, scipy.linalg (with
+    scipy's own OpenBLAS) and scipy.special.  The module is registered
+    under its own name, so a later `import scipy.spatial` binds the same
+    class; should a later scipy move it, the public import serves.
+    """
+    name = "scipy.spatial._ckdtree"
+    if name not in sys.modules:
+        import scipy
+        spec = PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "spatial")])
+        if spec is None:
+            from scipy.spatial import cKDTree
+            return cKDTree
+        sys.modules[name] = module_from_spec(spec)
+        try:
+            spec.loader.exec_module(sys.modules[name])
+        except BaseException:
+            sys.modules.pop(name, None)
+            raise
+    return sys.modules[name].cKDTree
+
+
 def build_tree(cloud: PointCloud, mask=None) -> KdTree:
     """Index the masked points (all points if mask is None)."""
     n = len(cloud)
     if mask is None:
         index_map = np.arange(n)
     else:
-        index_map = np.flatnonzero(_as_mask(mask, n))
+        arr = _as_mask(mask, n)
+        index_map = mask.index_map if isinstance(mask, FovMask) else np.flatnonzero(arr)
     if index_map.size == 0:
         raise EmptyInput("mask selects no points")
-    from scipy.spatial import cKDTree
-
     pts = np.ascontiguousarray(cloud.xyz[index_map], dtype=np.float64)
     # Sliding-midpoint splits build and query faster than median splits;
     # the contract order comes from `_probe`'s re-sort, not from the tree.
-    return KdTree(points=pts, index_map=index_map, _kd=cKDTree(pts, balanced_tree=False))
+    return KdTree(points=pts, index_map=index_map, _kd=_ckdtree()(pts, balanced_tree=False))
 
 
 def _graph_rows(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior on small synthetic corpora."""
 
 import hashlib
+import importlib.machinery
+import importlib.util
 import json
 import os
 import shutil
@@ -14,9 +16,10 @@ import pytest
 import seglift
 import seglift.cli
 from oracles import confidence_avg_brute, distance_weighted_brute, majority_brute
-from seglift import io
+from seglift import io, refinement
 from seglift.cli import main
-from seglift.refinement import graph_distances
+from seglift.core import PointCloud
+from seglift.refinement import build_tree, graph_distances
 
 
 def run(args):
@@ -239,6 +242,31 @@ class TestEval:
         miou_line = next(l for l in text.splitlines() if "mIoU" in l)
         assert miou_line.split()[-1] == "100.00"
         assert "mIoU,1.000000" in out_csv.read_text()
+
+    def test_out_writes_the_summed_confusion_matrix_beside_the_summary(self, corpus, tmp_path):
+        gt_dir = corpus / "sequences" / "00" / "labels"
+        cm = ["--class-map", corpus / "class_map.csv"]
+        pairs = []
+        for path in sorted(gt_dir.glob("*.label")):
+            gt, _ = io.read_labels(path)
+            pred = np.roll(gt, 1)  # disagrees with gt on every class border
+            io.write_labels(pred, tmp_path / "pred" / path.name)
+            pairs.append((gt, pred))
+        num_classes = io.read_class_map(corpus / "class_map.csv").num_classes
+        expected = np.zeros((num_classes, num_classes), dtype=np.int64)
+        for gt, pred in pairs:
+            keep = gt != 0
+            np.add.at(expected, (gt[keep], pred[keep]), 1)
+        assert expected.sum() > np.trace(expected) > 0
+
+        summary = tmp_path / "report.csv"
+        assert run(["eval", "--gt", gt_dir, "--pred", tmp_path / "pred", *cm]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pred"]  # no --out, no files
+        assert run(["eval", "--gt", gt_dir, "--pred", tmp_path / "pred", *cm,
+                    "--out", summary]) == 0
+        written = (tmp_path / "report.confusion.csv").read_text()
+        assert written == "".join(",".join(map(str, row)) + "\n" for row in expected.tolist())
+        assert "mIoU," in summary.read_text()
 
     def test_missing_pred_file_is_typed_error(self, corpus, tmp_path):
         labels = corpus / "sequences" / "00" / "labels"
@@ -821,10 +849,13 @@ def fresh_main(args, blas=None) -> dict:
 
 class TestStartupImports:
     """Each command imports only what it runs: a stray top-level import of
-    scipy.spatial, the synthetic generator or the process pool would cost
-    every command its load time."""
+    the kd-tree, the synthetic generator or the process pool would cost
+    every command its load time.  A kd-tree loads scipy's extension alone:
+    scipy.spatial's __init__ would also load scipy.linalg and scipy.special."""
 
-    LAZY = ("scipy.spatial", "seglift.synthetic", "concurrent.futures.process")
+    KD_TREE = "scipy.spatial._ckdtree"
+    LAZY = (KD_TREE, "scipy.spatial", "scipy.linalg", "scipy.special", "seglift.synthetic",
+            "concurrent.futures.process")
 
     @pytest.fixture(scope="class")
     def piped(self, corpus, tmp_path_factory):
@@ -852,14 +883,64 @@ class TestStartupImports:
         }[command]
         assert self.loaded(args) == set()
 
-    def test_refine_loads_scipy_spatial(self, corpus, tmp_path):
+    def test_refine_loads_only_the_kd_tree_extension(self, corpus, tmp_path):
         out = tmp_path / "out"
         assert run(["lift", "--dataset-root", corpus, "--output-root", out]) == 0
         assert self.loaded(["refine", "--dataset-root", corpus, "--output-root", out]) \
-            == {"scipy.spatial"}
+            == {self.KD_TREE}
         # The graphs that refine stored serve another scheme without a kd-tree.
         assert self.loaded(["refine", "--dataset-root", corpus, "--output-root", out,
                             "--scheme", "distance_weighted"]) == set()
+
+
+class TestKdTreeLoader:
+    """`refinement._ckdtree` loads scipy's kd-tree extension under its own
+    module name, falls back to the public import when scipy has moved it,
+    and leaves nothing behind when the load fails."""
+
+    NAME = TestStartupImports.KD_TREE
+
+    @pytest.fixture
+    def find_spec(self, monkeypatch):
+        """Unload the extension; return a setter for what the finder yields for it."""
+        import scipy.spatial  # noqa: F401 -- its first load, if any, before it is unloaded
+        monkeypatch.delitem(sys.modules, self.NAME)
+        real = importlib.machinery.PathFinder.find_spec
+
+        def patch(spec):
+            monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", staticmethod(
+                lambda name, path=None, target=None:
+                    spec if name == self.NAME else real(name, path, target)))
+        return patch
+
+    def test_a_later_public_import_binds_the_class_build_tree_used(self):
+        tree = build_tree(PointCloud(np.eye(3), np.zeros(3)))
+        from scipy.spatial import cKDTree
+        assert type(tree._kd) is cKDTree
+        assert sys.modules[self.NAME].cKDTree is cKDTree
+
+    def test_no_module_at_the_path_falls_back_to_the_public_import(self, find_spec, monkeypatch):
+        public = type("cKDTree", (), {})
+        monkeypatch.setattr(sys.modules["scipy.spatial"], "cKDTree", public)
+        find_spec(None)
+        assert refinement._ckdtree() is public
+
+    def test_a_failed_load_leaves_no_module_behind(self, find_spec):
+        seen = []
+
+        class Broken:
+            def create_module(self, spec):
+                return None
+
+            def exec_module(self, module):
+                seen.append(sys.modules.get(TestKdTreeLoader.NAME) is module)
+                raise ImportError("broken extension")
+
+        find_spec(importlib.util.spec_from_loader(self.NAME, Broken()))
+        with pytest.raises(ImportError, match="broken extension"):
+            refinement._ckdtree()
+        assert seen == [True]  # registered while it ran, as a circular import needs
+        assert self.NAME not in sys.modules
 
 
 class TestBlasThreads:
@@ -882,7 +963,9 @@ class TestBlasThreads:
                 "stats": ["stats", "--output-root", out, *cm]}[command]
         report = fresh_main(args)
         assert (report["rc"], report["blas"], report["threads"]) == (0, "1", 1)
-        assert ("scipy.spatial" in report["modules"]) == (command != "stats")
+        modules = set(report["modules"])
+        assert (TestStartupImports.KD_TREE in modules) == (command != "stats")
+        assert not modules & {"scipy.spatial", "scipy.linalg", "scipy.special"}
 
     def test_pin_defaults_to_one_and_a_caller_value_wins(self):
         assert fresh_main(["--help"])["blas"] == "1"

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -333,9 +333,10 @@ def grid_queries(draw):
     skip = 0 if include_self else 1
     n = draw(st.integers(1 + skip, 200))
     side = draw(st.integers(1, 6))
-    xyz = draw(arrays(np.int64, (n, 3), elements=st.integers(0, side - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    xyz = np.random.default_rng(seed).integers(0, side, (n, 3)).astype(np.float64)
     k = draw(st.integers(1, n - skip))
-    return xyz.astype(np.float64), k, include_self
+    return xyz, k, include_self
 
 
 @st.composite
@@ -432,12 +433,14 @@ def test_coincident_group_search_memory_is_bounded():
 
 @st.composite
 def duplicated_clouds(draw):
-    """Integer-grid points (duplicates common), probabilities with tied
-    argmax rows, and a mask selecting at least one point."""
+    """Integer-grid points (duplicates common), quarter-step probabilities
+    (tied argmax rows common), and a mask selecting at least one point."""
     n = draw(st.integers(1, 80))
-    xyz = draw(arrays(np.int64, (n, 3), elements=st.integers(0, 2))).astype(np.float64)
-    probs = draw(arrays(np.int64, (n, 4), elements=st.integers(0, 3))).astype(np.float64) / 4
-    mask = draw(arrays(np.bool_, n)) | (np.arange(n) == draw(st.integers(0, n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xyz = rng.integers(0, 3, (n, 3)).astype(np.float64)
+    probs = rng.integers(0, 4, (n, 4)) / 4
+    mask = rng.random(n) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    mask[rng.integers(n)] = True
     return xyz, probs, mask
 
 
@@ -455,6 +458,29 @@ def test_k1_with_self_is_identity_for_every_scheme(case):
     np.testing.assert_array_equal(labels, own)
     np.testing.assert_array_equal(refined, rows)
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(duplicated_clouds(), st.sampled_from([3, 5, 7]), st.booleans())
+def test_schemes_on_duplicated_clouds_equal_oracles(case, k, include_self):
+    """Searched graphs full of distance ties, most without the point itself,
+    refine like the oracles over the exhaustive graph; vote ties are common."""
+    xyz, probs, mask = case
+    rows = probs[mask]
+    k = min(k, len(rows) - (not include_self))
+    assume(k >= 1)
+    k -= 1 - k % 2
+    idx, dist = build_tree(cloud_from(xyz), mask).neighbors(k, include_self)
+    bidx, bdist = knn_brute(xyz[mask], k, include_self)
+    for tie_break in ("lowest", "keep"):
+        np.testing.assert_array_equal(refine_majority(rows, idx, tie_break),
+                                      majority_brute(rows, bidx, tie_break))
+    np.testing.assert_array_equal(refine_distance_weighted(rows, idx, dist),
+                                  distance_weighted_brute(rows, bidx, bdist))
+    labels, refined = refine_confidence_avg(rows, idx)
+    blabels, brefined = confidence_avg_brute(rows, bidx)
+    np.testing.assert_array_equal(labels, blabels)
+    np.testing.assert_array_equal(refined, brefined)
 
 @st.composite
 def arbitrary_graphs(draw):
