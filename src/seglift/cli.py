@@ -14,9 +14,7 @@ cause), 2 configuration or usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import shlex
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
@@ -33,7 +31,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import io, soup, tta
+# What only some commands use (soup, tta, synthetic, json, shlex, hashlib, the
+# pool) is imported where they run; bench/spans.py patches the names below.
+from . import io
 from .config import REFINEMENT_SCHEMES, PipelineConfig, read_config
 from .core import IGNORE_ID, ClassMap
 from .errors import (ConfigError, DimMismatch, FormatError, NonFiniteValue, NotADistribution,
@@ -99,6 +99,8 @@ class Scan:
         return out / D_MASK / f"{self.stem}.ptns"
 
     def variants(self, subdir: str) -> list[Path]:
+        from . import tta
+
         return [self.seq / subdir / f"{self.stem}_v{i:02d}.ptns"
                 for i in range(len(tta.default_variants()))]
 
@@ -129,13 +131,14 @@ def _require(paths) -> None:
 
 
 def _run(fn, arg, scans: list[Scan], jobs: int) -> list:
-    """`fn(arg, scan)` for every scan, in scan order, over `jobs` processes."""
+    """`fn(arg, scan)` for every scan, in scan order, over `jobs` processes at most."""
     work = partial(fn, arg)
-    if jobs <= 1:
+    workers = min(jobs, len(scans))  # a pool forks all its workers, even idle ones
+    if workers <= 1:
         return [work(scan) for scan in scans]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(work, scans))
 
 
@@ -175,17 +178,18 @@ def _lift(cfg: PipelineConfig, scan: Scan):
 
 
 def _prune_graphs(scan: Scan, keep: Path | None = None) -> None:
-    """Delete this scan's stored graphs other than `keep`; other scans' files stay."""
-    knn = scan.out / D_KNN
+    """Delete the graphs in this scan's knn/<stem>/ other than `keep`; no `keep`, the directory."""
+    knn = scan.out / D_KNN / scan.stem
     if knn.is_dir():
         for path in knn.iterdir():
-            # <stem>.<key>.ptns: the stem itself may hold dots
-            if path.name.rsplit(".", 2)[0] == scan.stem and path != keep:
+            if path != keep:
                 path.unlink(missing_ok=True)
+        if keep is None:
+            knn.rmdir()
 
 
 def _neighborhood(scan: Scan, cloud, mask: FovMask, k: int, include_self: bool, with_dist: bool):
-    """The scan's exact K-neighbor graph, (idx, dist, store), read from knn/ when its key matches.
+    """The scan's exact K-neighbor graph, (idx, dist, store), from knn/<stem>/ on a key match.
 
     The file name carries a digest of the in-FOV xyz, k, include_self and
     KNN_FORMAT, so a lookup is one stat.  A hit imports no scipy, rebuilds
@@ -198,7 +202,7 @@ def _neighborhood(scan: Scan, cloud, mask: FovMask, k: int, include_self: bool, 
     key = hashlib.blake2b(KNN_FORMAT, digest_size=8)
     key.update(points)  # the contiguous buffer itself, without a copy
     key.update(f"k={k},include_self={include_self}".encode())
-    path = scan.output(D_KNN, f".{key.hexdigest()}.ptns")
+    path = scan.out / D_KNN / scan.stem / f"{key.hexdigest()}.ptns"
     if path.is_file():
         m = len(points)
         idx = io.read_tensor(path, shape=(m, k))
@@ -284,12 +288,16 @@ def _slice(masks: str | None, scan: Scan) -> None:
 
 
 def _tta_emit(_, scan: Scan) -> None:
+    from . import tta
+
     clouds, _ = tta.emit_variants(io.read_cloud_bin(scan.cloud))
     for i, variant_cloud in enumerate(clouds):
         io.write_cloud_bin(variant_cloud, scan.output(D_TTA, f"_v{i:02d}.bin"))
 
 
 def _tta_aggregate(subdir: str, scan: Scan) -> None:
+    from . import tta
+
     first, *rest = scan.variants(subdir)
     tensors = [io.read_tensor(first)]
     tensors += [io.read_tensor(path, shape=tensors[0].shape) for path in rest]
@@ -483,6 +491,10 @@ def cmd_eval(args) -> int:
 def cmd_tta(args) -> int:
     cfg = _config(args, "dataset_root", "output_root")
     if args.action == "emit":
+        import json
+
+        from . import tta
+
         scans = _scans(cfg.dataset_root, cfg.output_root)
         _run(_tta_emit, None, scans, cfg.jobs)
         manifest = [v.manifest_entry() for v in tta.default_variants()]
@@ -500,6 +512,11 @@ def cmd_tta(args) -> int:
 
 
 def cmd_soup(args) -> int:
+    import json
+    import shlex
+
+    from . import soup
+
     env = dict(os.environ)  # the caller's environment: the metric command may use BLAS
     if _PINNED:
         env.pop("OPENBLAS_NUM_THREADS", None)
@@ -630,5 +647,17 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> None:
+    """`main()` as a process, exiting with its code before the interpreter's teardown:
+    outputs are closed and the pool is shut down, so teardown would only free memory."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --help and usage errors
+        code = exc.code
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -8,7 +8,6 @@ before any work starts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -147,6 +146,8 @@ def read_config(path=None, flags: dict | None = None) -> PipelineConfig:
     """Load and validate a JSON config file (defaults when `path` is None), with `flags` over it."""
     if path is None:
         return parse_config({}, flags=flags)
+    import json  # only a config file needs it
+
     path = Path(path)
     try:
         raw = json.loads(path.read_text())

@@ -42,6 +42,15 @@ def clean_corpus(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def piped(corpus, tmp_path_factory):
+    """The default `pipeline` output of `corpus`; tests copy it before changing it."""
+    out = tmp_path_factory.mktemp("piped")
+    assert run(["pipeline", "--dataset-root", corpus, "--output-root", out,
+                "--class-map", corpus / "class_map.csv"]) == 0
+    return out
+
+
 def tree_digest(root):
     """Stable digest of every file under root (relative path + bytes)."""
     h = hashlib.sha256()
@@ -94,6 +103,22 @@ class TestStages:
         red_lines = (out / "reduction.csv").read_text().strip().splitlines()
         assert red_lines[-1].startswith("total,")
 
+    def test_pool_gets_no_more_workers_than_scans(self, corpus, piped, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        sizes, pool = [], concurrent.futures.ProcessPoolExecutor
+
+        def counted(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+        out = tmp_path / "out"
+        assert run(["pipeline", "--dataset-root", corpus, "--output-root", out,
+                    "--class-map", corpus / "class_map.csv", "--jobs", "4"]) == 0
+        assert sizes == [2, 2]  # lift and refine, then the cut: one worker per scan
+        assert tree_digest(out) == tree_digest(piped)  # the jobs-1 tree
+
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("mode", ["class_balanced", "static"])
     @pytest.mark.parametrize("scheme", ["confidence_avg", "majority", "distance_weighted"])
@@ -127,7 +152,7 @@ class TestStages:
         for stem in ("000000", "000001"):
             view = io.read_tensor(seq / "fov_mask" / f"{stem}.ptns").astype(bool)
             rows = io.read_tensor(seq / "probs_3d" / f"{stem}.ptns")
-            [graph_path] = (seq / "knn").glob(f"{stem}.*.ptns")
+            [graph_path] = (seq / "knn" / stem).glob("*.ptns")
             idx = io.read_tensor(graph_path)
             labels, _ = io.read_labels(seq / "refined_labels" / f"{stem}.label")
             conf = io.read_tensor(seq / "confidences" / f"{stem}.ptns")
@@ -548,13 +573,6 @@ class TestFilesThatDoNotFit:
     """Every file a command reads for a scan is checked against the shape that
     scan expects: a misfit exits 1 naming the file, never as a config error."""
 
-    @pytest.fixture(scope="class")
-    def piped(self, corpus, tmp_path_factory):
-        out = tmp_path_factory.mktemp("piped")
-        assert run(["pipeline", "--dataset-root", corpus, "--output-root", out,
-                    "--class-map", corpus / "class_map.csv"]) == 0
-        return out
-
     @pytest.mark.parametrize("row", [
         "lift-teacher-map", "pipeline-teacher-map", "lift-teacher-map-no-classes",
         "pipeline-teacher-map-no-classes", "refine-fov-mask", "refine-probs-3d",
@@ -577,7 +595,7 @@ class TestFilesThatDoNotFit:
                                                 src / "probs_2d" / "000001.ptns"),
             "refine-fov-mask": (["refine", *roots], dst / "fov_mask" / "000001.ptns"),
             "refine-probs-3d": (["refine", *roots], dst / "probs_3d" / "000001.ptns"),
-            "refine-knn-graph": (["refine", *roots], *(dst / "knn").glob("000001.*.ptns")),
+            "refine-knn-graph": (["refine", *roots], *(dst / "knn" / "000001").glob("*.ptns")),
             "slice-fov-mask": (["slice", *roots], dst / "fov_mask" / "000001.ptns"),
             "slice-labels": (["slice", *roots], src / "labels" / "000001.label"),
             "threshold-confidences": (["threshold", "--output-root", out, *cm],
@@ -660,8 +678,9 @@ class TestMultiCamera:
 
 
 def graphs(out):
-    """Stored neighbor graph files of sequence 00, by name."""
-    return sorted(p.name for p in (out / "sequences" / "00" / "knn").glob("*.ptns"))
+    """Stored neighbor graph files of sequence 00, as `<stem>/<key>.ptns`."""
+    knn = out / "sequences" / "00" / "knn"
+    return sorted(p.relative_to(knn).as_posix() for p in knn.glob("*/*.ptns"))
 
 
 @pytest.fixture
@@ -792,8 +811,10 @@ class TestKnnGraphReuse:
                     "--class-map", root / "class_map.csv"]) == 0
         # k=19 clamps to the 3 in-view points of 000000; 000001 sees none and stores nothing.
         [name] = graphs(out)
-        stem, digest, suffix = name.split(".")
+        stem, file = name.split("/")
+        digest, suffix = file.split(".")
         assert stem == "000000" and len(digest) == 16 and suffix == "ptns"
+        assert sorted(p.name for p in (out / "sequences" / "00" / "knn").iterdir()) == [stem]
         graph = io.read_tensor(out / "sequences" / "00" / "knn" / name)
         assert graph.dtype == np.uint32 and graph.tolist() == [[0, 1, 2], [1, 0, 2], [2, 0, 1]]
 
@@ -828,14 +849,16 @@ def fresh_python(code, *args, blas=None) -> str:
 
 
 FRESH_MAIN = """\
-import json, os, sys
+import os, sys
 from seglift.cli import main
 try:
     rc = main(sys.argv[1:])
 except SystemExit as exc:
     rc = exc.code
+modules = sorted(sys.modules)  # before this report's own json import
+import json
 task = "/proc/self/task"
-print(json.dumps({"rc": rc, "modules": sorted(sys.modules),
+print(json.dumps({"rc": rc, "modules": modules,
                   "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
                   "threads": len(os.listdir(task)) if os.path.isdir(task) else None}))
 """
@@ -849,20 +872,16 @@ def fresh_main(args, blas=None) -> dict:
 
 class TestStartupImports:
     """Each command imports only what it runs: a stray top-level import of
-    the kd-tree, the synthetic generator or the process pool would cost
-    every command its load time.  A kd-tree loads scipy's extension alone:
-    scipy.spatial's __init__ would also load scipy.linalg and scipy.special."""
+    the kd-tree, the synthetic generator, the process pool or the modules of
+    `soup`, `tta` and `--config` would cost every command its load time.  A
+    kd-tree loads scipy's extension alone: scipy.spatial's __init__ would
+    also load scipy.linalg and scipy.special."""
 
     KD_TREE = "scipy.spatial._ckdtree"
     LAZY = (KD_TREE, "scipy.spatial", "scipy.linalg", "scipy.special", "seglift.synthetic",
-            "concurrent.futures.process")
-
-    @pytest.fixture(scope="class")
-    def piped(self, corpus, tmp_path_factory):
-        out = tmp_path_factory.mktemp("piped")
-        assert run(["pipeline", "--dataset-root", corpus, "--output-root", out,
-                    "--class-map", corpus / "class_map.csv"]) == 0
-        return out
+            "concurrent.futures.process", "seglift.soup", "seglift.tta", "seglift.transforms",
+            "subprocess", "shlex", "json")
+    SPARSE = {"json", "subprocess"}  # scipy.sparse, which the kd-tree needs, imports these
 
     def loaded(self, args):
         """The LAZY modules present in a fresh interpreter after `main(args)` returns."""
@@ -887,10 +906,17 @@ class TestStartupImports:
         out = tmp_path / "out"
         assert run(["lift", "--dataset-root", corpus, "--output-root", out]) == 0
         assert self.loaded(["refine", "--dataset-root", corpus, "--output-root", out]) \
-            == {self.KD_TREE}
+            - self.SPARSE == {self.KD_TREE}
         # The graphs that refine stored serve another scheme without a kd-tree.
         assert self.loaded(["refine", "--dataset-root", corpus, "--output-root", out,
                             "--scheme", "distance_weighted"]) == set()
+
+    def test_one_scan_forks_no_pool(self, tmp_path):
+        data = tmp_path / "data"
+        assert run(["synth", "--out", data, "--scenes", "1", "--seed", "3"]) == 0
+        report = fresh_main(["pipeline", "--dataset-root", data, "--output-root", tmp_path / "out",
+                             "--class-map", data / "class_map.csv", "--jobs", "2"])
+        assert report["rc"] == 0 and "concurrent.futures.process" not in report["modules"]
 
 
 class TestKdTreeLoader:
@@ -996,3 +1022,61 @@ class TestBlasThreads:
                                  "--eval-cmd", f"{sys.executable} {script}"], blas=blas)
             assert (report["rc"], report["blas"]) == (0, pinned)  # the soup process itself
         assert seen.read_text().split() == ["unset", "2"]
+
+
+class TestEntry:
+    """`python -m seglift.cli` and the console script end in `cli.entry`: the
+    exit code and output of `main()`, without the interpreter's teardown."""
+
+    def seglift(self, *args, stdout=subprocess.PIPE):
+        """(exit code, stdout, stderr) of `python -m seglift.cli args` on this checkout,
+        with stdout block-buffered when it is a file, as by default."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=str(Path(seglift.__file__).parents[1]), COLUMNS="80")
+        proc = subprocess.run([sys.executable, "-m", "seglift.cli", *map(str, args)], env=env,
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_help_prints_the_full_usage(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert self.seglift("--help") == (0, seglift.cli.build_parser().format_help(), "")
+
+    def test_unknown_flag_exits_two(self):
+        code, out, err = self.seglift("stats", "--no-such-flag")
+        assert (code, out) == (2, "") and "unrecognized arguments: --no-such-flag" in err
+
+    def test_config_error_exits_two(self, tmp_path):
+        code, _, err = self.seglift("lift", "--dataset-root", tmp_path / "none",
+                                    "--output-root", tmp_path / "out")
+        assert (code, err) == (2, f"seglift: config error: {tmp_path / 'none'}: "
+                                  "no sequences/ directory\n")
+
+    def test_typed_error_exits_one_naming_the_file(self, piped, tmp_path):
+        cmap = tmp_path / "class_map.csv"
+        cmap.write_text("0,unlabeled\n2,car\n")
+        code, _, err = self.seglift("stats", "--output-root", piped, "--class-map", cmap)
+        assert (code, err) == (1, f"seglift: error: {cmap}: class ids must be dense 0..1\n")
+
+    def test_redirected_stdout_is_complete(self, corpus, piped, tmp_path, capsys):
+        out, log = tmp_path / "out", tmp_path / "stdout.txt"
+        shutil.copytree(piped, out)
+        args = ["stats", "--output-root", out, "--class-map", corpus / "class_map.csv"]
+        with open(log, "w") as fh:
+            code, _, err = self.seglift(*args, stdout=fh)
+        capsys.readouterr()
+        assert run(args) == 0
+        assert (code, log.read_text(), err) == (0, capsys.readouterr().out, "")
+        assert log.read_text().startswith("stats: histogram over ")
+
+    def test_main_returns_in_process(self, corpus, piped, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "_exit", lambda code: pytest.fail(f"os._exit({code})"))
+        out = tmp_path / "out"
+        shutil.copytree(piped, out)
+        assert run(["stats", "--output-root", out, "--class-map", corpus / "class_map.csv"]) == 0
+        assert run(["lift", "--dataset-root", tmp_path / "none", "--output-root", out]) == 2
+
+    def test_console_script_is_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"seglift": "seglift.cli:entry"}
