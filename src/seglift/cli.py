@@ -137,8 +137,11 @@ def _run(fn, arg, scans: list[Scan], jobs: int) -> list:
     if workers <= 1:
         return [work(scan) for scan in scans]
     from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_all_start_methods, get_context
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Forked workers inherit numpy and the loaded modules; Python 3.14's forkserver would not.
+    context = get_context("fork") if "fork" in get_all_start_methods() else None
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         return list(pool.map(work, scans))
 
 

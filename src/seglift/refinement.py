@@ -29,9 +29,12 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
+from importlib import import_module
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
+from types import ModuleType
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,6 +53,12 @@ TIE_BREAKS = ("lowest", "keep")
 # Cap on (rows x probe width) gathered at once by a widening pass; a group
 # of c coincident points would otherwise gather c x 2c candidates together.
 _CHUNK_CANDIDATES = 1 << 19
+
+# numpy submodules that scipy's array-API shim imports, by listing numpy,
+# while the kd-tree loads, and that nothing then uses; `_ckdtree` defers
+# them (scipy does use numpy's random, linalg, fft and typing).
+_DEFERRED = ("f2py", "testing", "ma", "polynomial", "ctypeslib", "char", "rec", "strings")
+_LOAD_LOCK = threading.Lock()
 
 
 @dataclass(eq=False)
@@ -128,28 +137,46 @@ def graph_distances(points: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.sqrt(_squared_distances(points, idx, slice(None)))
 
 
+class _DeferredModule(ModuleType):
+    """numpy's attribute for a submodule not yet imported: any use of an
+    attribute imports it, under the import system's locks, and goes to it.
+    Kept out of sys.modules, so `import numpy.ma.core` runs numpy.ma first."""
+
+    def __getattribute__(self, attr):
+        return getattr(import_module(ModuleType.__getattribute__(self, "__name__")), attr)
+
+    def __setattr__(self, attr, value):
+        setattr(import_module(ModuleType.__getattribute__(self, "__name__")), attr, value)
+
+
 def _ckdtree() -> type:
     """scipy's cKDTree, loaded from its extension alone.
 
     scipy.spatial's __init__ would also load qhull, scipy.linalg (with
     scipy's own OpenBLAS) and scipy.special.  The module is registered
     under its own name, so a later `import scipy.spatial` binds the same
-    class; should a later scipy move it, the public import serves.
+    class; should a later scipy move it, the public import serves.  A lock
+    covers the check and the load: the module is registered before it runs.
     """
     name = "scipy.spatial._ckdtree"
-    if name not in sys.modules:
-        import scipy
-        spec = PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "spatial")])
-        if spec is None:
-            from scipy.spatial import cKDTree
-            return cKDTree
-        sys.modules[name] = module_from_spec(spec)
-        try:
-            spec.loader.exec_module(sys.modules[name])
-        except BaseException:
-            sys.modules.pop(name, None)
-            raise
-    return sys.modules[name].cKDTree
+    with _LOAD_LOCK:
+        if name not in sys.modules:
+            for short in _DEFERRED:
+                sub = f"numpy.{short}"
+                if sub not in sys.modules and PathFinder.find_spec(sub, np.__path__):
+                    setattr(np, short, _DeferredModule(sub))
+            import scipy
+            spec = PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "spatial")])
+            if spec is None:
+                from scipy.spatial import cKDTree
+                return cKDTree
+            sys.modules[name] = module_from_spec(spec)
+            try:
+                spec.loader.exec_module(sys.modules[name])
+            except BaseException:
+                sys.modules.pop(name, None)
+                raise
+        return sys.modules[name].cKDTree
 
 
 def build_tree(cloud: PointCloud, mask=None) -> KdTree:

@@ -1,9 +1,12 @@
 """End-to-end CLI behavior on small synthetic corpora."""
 
+import ast
 import hashlib
 import importlib.machinery
 import importlib.util
 import json
+import multiprocessing
+import operator
 import os
 import shutil
 import subprocess
@@ -103,21 +106,38 @@ class TestStages:
         red_lines = (out / "reduction.csv").read_text().strip().splitlines()
         assert red_lines[-1].startswith("total,")
 
-    def test_pool_gets_no_more_workers_than_scans(self, corpus, piped, tmp_path, monkeypatch):
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The (max_workers, mp_context) of each process pool opened."""
         import concurrent.futures
 
-        sizes, pool = [], concurrent.futures.ProcessPoolExecutor
+        opened, pool = [], concurrent.futures.ProcessPoolExecutor
 
-        def counted(max_workers):
-            sizes.append(max_workers)
-            return pool(max_workers)
+        def recorded(max_workers, mp_context=None):
+            opened.append((max_workers, mp_context))
+            return pool(max_workers, mp_context=mp_context)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
+        return opened
+
+    def test_pool_gets_no_more_workers_than_scans(self, corpus, piped, tmp_path, pools):
         out = tmp_path / "out"
         assert run(["pipeline", "--dataset-root", corpus, "--output-root", out,
                     "--class-map", corpus / "class_map.csv", "--jobs", "4"]) == 0
-        assert sizes == [2, 2]  # lift and refine, then the cut: one worker per scan
+        assert [size for size, _ in pools] == [2, 2]  # lift and refine, then the cut: one worker per scan
         assert tree_digest(out) == tree_digest(piped)  # the jobs-1 tree
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the platform cannot fork")
+    def test_pool_workers_fork_whatever_the_default(self, pools):
+        # Forked workers inherit numpy and a loaded kd-tree; Python 3.14's default does not fork.
+        default = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            assert seglift.cli._run(operator.add, 1, [10, 20, 30], 2) == [11, 21, 31]
+        finally:
+            multiprocessing.set_start_method(default, force=True)
+        assert [(size, ctx.get_start_method()) for size, ctx in pools] == [(2, "fork")]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("mode", ["class_balanced", "static"])
@@ -875,13 +895,16 @@ class TestStartupImports:
     the kd-tree, the synthetic generator, the process pool or the modules of
     `soup`, `tta` and `--config` would cost every command its load time.  A
     kd-tree loads scipy's extension alone: scipy.spatial's __init__ would
-    also load scipy.linalg and scipy.special."""
+    also load scipy.linalg and scipy.special.  The numpy submodules that
+    scipy's array-API shim touches while the kd-tree loads are deferred, so
+    their code never runs."""
 
     KD_TREE = "scipy.spatial._ckdtree"
+    NUMPY_DEFERRED = ("numpy.f2py.crackfortran", "numpy.testing._private.utils", "numpy.ma.core")
     LAZY = (KD_TREE, "scipy.spatial", "scipy.linalg", "scipy.special", "seglift.synthetic",
             "concurrent.futures.process", "seglift.soup", "seglift.tta", "seglift.transforms",
-            "subprocess", "shlex", "json")
-    SPARSE = {"json", "subprocess"}  # scipy.sparse, which the kd-tree needs, imports these
+            "subprocess", "shlex", "json", *NUMPY_DEFERRED)
+    SPARSE = {"subprocess"}  # scipy._lib, which the kd-tree needs, imports it
 
     def loaded(self, args):
         """The LAZY modules present in a fresh interpreter after `main(args)` returns."""
@@ -922,7 +945,10 @@ class TestStartupImports:
 class TestKdTreeLoader:
     """`refinement._ckdtree` loads scipy's kd-tree extension under its own
     module name, falls back to the public import when scipy has moved it,
-    and leaves nothing behind when the load fails."""
+    and leaves nothing behind when the load fails.  It defers numpy
+    submodules that nothing reads during the load; their first use, from
+    any thread, is an ordinary import.  Threads that race to the first
+    load all get the finished class."""
 
     NAME = TestStartupImports.KD_TREE
 
@@ -967,6 +993,81 @@ class TestKdTreeLoader:
             refinement._ckdtree()
         assert seen == [True]  # registered while it ran, as a circular import needs
         assert self.NAME not in sys.modules
+
+    def test_threads_racing_to_the_first_load_all_search(self):
+        code = ("import sys, threading\n"
+                "sys.setswitchinterval(1e-5)\n"
+                "import numpy as np\n"
+                "from seglift import PointCloud, build_tree\n"
+                "cloud = PointCloud(np.random.default_rng(0).random((200, 3)), np.zeros(200))\n"
+                "done = []\n"
+                "def search():\n"
+                "    done.append(build_tree(cloud).neighbors(5)[0].shape)\n"
+                "threads = [threading.Thread(target=search) for _ in range(4)]\n"
+                "for t in threads: t.start()\n"
+                "for t in threads: t.join(60)\n"
+                "print(done == [(200, 5)] * 4, any(t.is_alive() for t in threads))\n")
+        assert fresh_python(code) == "True False"
+
+    RACE = ("import os, sys, threading\n"
+            "import numpy as np\n"
+            "from seglift import refinement\n"
+            "refinement._ckdtree()\n"
+            "sys.setswitchinterval(1e-5)\n"
+            "start, done = threading.Barrier(4), []\n"
+            "def race(i):\n"
+            "    start.wait()\n"
+            "    try:\n"
+            "        done.append(bool(use(i)))\n"
+            "    except BaseException as exc:\n"
+            "        done.append(type(exc).__name__)\n"
+            "threads = [threading.Thread(target=race, args=(i,), daemon=True) for i in range(4)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join(10)\n"
+            "print(done, any(t.is_alive() for t in threads), flush=True)\n"
+            "os._exit(0)\n")
+
+    @pytest.mark.parametrize("use", ["np.polynomial.Polynomial([1, 2])(1) == 3",
+                                     "np.ma.masked_array([1, 2], [0, 1]).count() == 1"])
+    def test_threads_racing_to_a_deferred_module_get_it_whole(self, use):
+        code = self.RACE.replace("def race", f"def use(i):\n    return {use}\ndef race")
+        assert fresh_python(code) == "[True, True, True, True] False"
+
+    def test_a_direct_submodule_import_racing_a_deferred_module_never_hangs(self):
+        # Python's own import locks see every wait, so no thread hangs.  They
+        # may raise in one of two threads that first import a package and its
+        # submodule at once, as without seglift, so only the outcome is asserted.
+        use = ("def use(i):\n"
+               "    if i % 2: import numpy.ma.core as m\n"
+               "    else: m = np.ma\n"
+               "    return m.masked_array([1, 2], [0, 1]).count() == 1\n")
+        done, alive = fresh_python(self.RACE.replace("def race", use + "def race")).rsplit(" ", 1)
+        assert alive == "False" and len(ast.literal_eval(done)) == 4
+
+    def test_deferred_numpy_submodules_load_on_first_use(self):
+        code = ("import sys\n"
+                "import numpy\n"
+                "import numpy.ma\n"
+                "ma = numpy.ma\n"
+                "from seglift import PointCloud, build_tree, refinement\n"
+                "tree = build_tree(PointCloud(numpy.eye(3), numpy.zeros(3)))\n"
+                "assert 'numpy.testing._private.utils' not in sys.modules\n"
+                "assert numpy.ma is ma and sys.modules['numpy.ma'] is ma\n"
+                "assert numpy.ma.masked_array([1, 2], [0, 1]).count() == 1\n"
+                "from numpy.polynomial.polynomial import Polynomial\n"  # as scipy.signal imports
+                "assert numpy.polynomial.Polynomial is Polynomial\n"
+                "assert numpy.polynomial.Polynomial([1, 2])(1) == 3\n"
+                "import numpy.testing._private.utils as utils\n"
+                "assert numpy.testing.assert_array_equal is utils.assert_array_equal\n"
+                "numpy.testing.assert_array_equal([1, 2], [1, 2])\n"
+                "rec = numpy.rec\n"
+                "rec.seen = True\n"  # a stand-in passes a set attribute to the module
+                "assert sys.modules['numpy.rec'].seen and numpy.rec is not rec\n"
+                "import numpy.f2py\n"
+                "from scipy.spatial import cKDTree\n"
+                "print(callable(numpy.f2py.run_main), type(tree._kd) is cKDTree,\n"
+                "      refinement._ckdtree() is cKDTree)\n")
+        assert fresh_python(code) == "True True True"
 
 
 class TestBlasThreads:
