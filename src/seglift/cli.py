@@ -191,31 +191,46 @@ def _prune_graphs(scan: Scan, keep: Path | None = None) -> None:
             knn.rmdir()
 
 
-def _neighborhood(scan: Scan, cloud, mask: FovMask, k: int, include_self: bool, with_dist: bool):
-    """The scan's exact K-neighbor graph, (idx, dist, store), from knn/<stem>/ on a key match.
+def _read(path: Path, shape: tuple, dtype) -> np.ndarray:
+    """The stage tensor at `path`, once its shape and dtype fit; else a DimMismatch naming it.
 
-    The file name carries a digest of the in-FOV xyz, k, include_self and
-    KNN_FORMAT, so a lookup is one stat.  A hit imports no scipy, rebuilds
-    `dist` only when `with_dist` (else None) and has no `store` path.  A
-    miss searches a new kd-tree; `store` is where to keep its graph.
+    A bool tensor (an FOV mask) is stored as uint8 entries that are 0 or 1.
+    """
+    stored = np.dtype(np.uint8 if dtype is bool else dtype)
+    tensor = io.read_tensor(path, shape=shape)
+    if tensor.dtype != stored:
+        raise DimMismatch(f"{path}: {tensor.dtype} tensor, expected {stored}")
+    if dtype is not bool:
+        return tensor
+    if tensor.size and tensor.max() > 1:
+        raise DimMismatch(f"{path}: mask entry {tensor.max()}, expected 0 or 1")
+    return tensor.view(bool)
+
+
+def _neighborhood(scan: Scan, points: np.ndarray, k: int, include_self: bool, with_dist: bool):
+    """The exact K-neighbor graph of the scan's (M, 3) in-view `points`, as (idx, dist).
+
+    Graphs are kept in knn/<stem>/ under a digest of the points, k,
+    include_self and KNN_FORMAT, so a lookup is one stat.  A hit imports
+    no scipy and rebuilds `dist` only when `with_dist` (else None).  A
+    miss searches the points, stores the graph and prunes the older ones.
     """
     import hashlib  # only refinement needs it; it costs every command ~6 ms to import
 
-    points = np.ascontiguousarray(cloud.xyz[mask.index_map], dtype=np.float64)
     key = hashlib.blake2b(KNN_FORMAT, digest_size=8)
     key.update(points)  # the contiguous buffer itself, without a copy
     key.update(f"k={k},include_self={include_self}".encode())
     path = scan.out / D_KNN / scan.stem / f"{key.hexdigest()}.ptns"
     if path.is_file():
         m = len(points)
-        idx = io.read_tensor(path, shape=(m, k))
-        if idx.dtype != np.uint32:
-            raise DimMismatch(f"{path}: neighbor graph is {idx.dtype}, expected uint32")
+        idx = _read(path, (m, k), np.uint32)
         if idx.max() >= m:
             raise FormatError(f"{path}: neighbor {idx.max()} outside {m} indexed points")
-        return idx, graph_distances(points, idx) if with_dist else None, None
-    idx, dist = build_tree(cloud, mask).neighbors(k, include_self)
-    return idx, dist, path
+        return idx, graph_distances(points, idx) if with_dist else None
+    idx, dist = build_tree(points).neighbors(k, include_self)
+    io.write_tensor(idx.astype(np.uint32), path)
+    _prune_graphs(scan, keep=path)
+    return idx, dist
 
 
 def _refine(cfg: PipelineConfig, scan: Scan, cloud, rows: np.ndarray, mask: FovMask) -> np.ndarray:
@@ -233,17 +248,15 @@ def _refine(cfg: PipelineConfig, scan: Scan, cloud, rows: np.ndarray, mask: FovM
         k = min(ref.k, limit)
         if k % 2 == 0:
             k -= 1
-        idx, dist, store = _neighborhood(scan, cloud, mask, k, ref.include_self,
-                                         with_dist=ref.scheme == "distance_weighted")
+        points = np.ascontiguousarray(cloud.xyz[mask.index_map], dtype=np.float64)
+        idx, dist = _neighborhood(scan, points, k, ref.include_self,
+                                  with_dist=ref.scheme == "distance_weighted")
         if ref.scheme == "majority":
             winners = refine_majority(rows, idx, ref.tie_break)
         elif ref.scheme == "distance_weighted":
             winners = refine_distance_weighted(rows, idx, dist)
         else:  # the confidence is read from the averaged rows
             winners, rows = refine_confidence_avg(rows, idx)
-        if store is not None:  # a miss: keep the graph just searched
-            io.write_tensor(idx.astype(np.uint32), store)
-            _prune_graphs(scan, keep=store)
         labels[mask.index_map] = winners
         conf[mask.index_map] = rows.max(axis=1)
     io.write_labels(labels, scan.output(D_REFINED, ".label"))
@@ -257,8 +270,8 @@ def _lift_only(cfg: PipelineConfig, scan: Scan) -> None:
 
 def _refine_stored(cfg: PipelineConfig, scan: Scan) -> np.ndarray:
     cloud = io.read_cloud_bin(scan.cloud)
-    mask = FovMask(io.read_tensor(scan.output(D_MASK), shape=(len(cloud),)).astype(bool))
-    rows = io.read_tensor(scan.output(D_PROBS3D), shape=(mask.count, None))
+    mask = FovMask(_read(scan.output(D_MASK), (len(cloud),), bool))
+    rows = _read(scan.output(D_PROBS3D), (mask.count, None), np.float32)
     return _refine(cfg, scan, cloud, rows, mask)
 
 
@@ -268,7 +281,7 @@ def _lift_refine(cfg: PipelineConfig, scan: Scan) -> np.ndarray:
 
 def _cut(class_map: ClassMap, thresholds: np.ndarray, scan: Scan):
     labels, _ = io.read_labels(scan.output(D_REFINED, ".label"), class_map=class_map)
-    conf = io.read_tensor(scan.output(D_CONF), shape=labels.shape).astype(np.float64)
+    conf = _read(scan.output(D_CONF), labels.shape, np.float32).astype(np.float64)
     try:
         out, _ = apply_threshold(labels, conf, thresholds)
     except NonFiniteValue as exc:
@@ -281,7 +294,7 @@ def _cut(class_map: ClassMap, thresholds: np.ndarray, scan: Scan):
 
 def _slice(masks: str | None, scan: Scan) -> None:
     cloud = io.read_cloud_bin(scan.cloud)
-    sliced, index_map = slice_cloud(cloud, io.read_tensor(scan.fov_mask(masks), shape=(len(cloud),)))
+    sliced, index_map = slice_cloud(cloud, _read(scan.fov_mask(masks), (len(cloud),), bool))
     io.write_cloud_bin(sliced, scan.output(D_SLICED, ".bin"))
     io.write_tensor(index_map.astype(np.uint32), scan.output(D_INDEX))
     label_path = scan.seq / D_LABELS / f"{scan.stem}.label"
@@ -479,7 +492,7 @@ def cmd_eval(args) -> int:
         pred, _ = io.read_labels(pred_dir / f"{stem}.label", class_map=class_map, count=len(gt))
         mask = None
         if args.masks:
-            mask = io.read_tensor(Path(args.masks) / f"{stem}.ptns", shape=gt.shape).astype(bool)
+            mask = _read(Path(args.masks) / f"{stem}.ptns", gt.shape, bool)
         matrices.append(ConfusionMatrix(class_map.num_classes).update(gt, pred, mask))
     result = report(matrices, class_map)
     print(result.to_text())

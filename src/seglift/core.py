@@ -170,9 +170,6 @@ class ClassMap:
     def name_of(self, class_id: int) -> str:
         return self.names[class_id]
 
-    def __contains__(self, class_id: int) -> bool:
-        return 0 <= class_id < len(self.names)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ClassMap) and self.names == other.names
 

@@ -91,13 +91,8 @@ def iou(matrix: ConfusionMatrix):
     return per_class, float(per_class[included].mean())
 
 
-def report(matrices, class_map: ClassMap, reductions=None) -> "Report":
-    """Aggregate scan matrices into one dataset-level report.
-
-    `reductions` is an optional list of (removed, labeled_before) point
-    counts per scan; the summary reduction is their pooled fraction, i.e.
-    the per-scan fractions weighted by labeled point count.
-    """
+def report(matrices, class_map: ClassMap) -> "Report":
+    """Aggregate scan matrices into one dataset-level report."""
     matrices = list(matrices)
     if not matrices:
         raise EmptyMatrix("need at least one confusion matrix")
@@ -105,22 +100,15 @@ def report(matrices, class_map: ClassMap, reductions=None) -> "Report":
     for m in matrices:
         total.merge(m)
     per_class, miou = iou(total)
-    reduction = None
-    if reductions:
-        removed = sum(r for r, _ in reductions)
-        labeled = sum(n for _, n in reductions)
-        reduction = removed / labeled if labeled else 0.0
-    return Report(per_class=per_class, miou=miou, reduction=reduction,
-                  class_map=class_map, matrix=total)
+    return Report(per_class=per_class, miou=miou, class_map=class_map, matrix=total)
 
 
 class Report:
     """Evaluation summary with text and CSV renderings."""
 
-    def __init__(self, per_class, miou, reduction, class_map, matrix):
+    def __init__(self, per_class, miou, class_map, matrix):
         self.per_class = per_class
         self.miou = miou
-        self.reduction = reduction
         self.class_map = class_map
         self.matrix = matrix
 
@@ -131,8 +119,6 @@ class Report:
                 continue
             lines.append(f"{cid},{self.class_map.name_of(cid)},{value:.6f}")
         lines.append(f"mIoU,{self.miou:.6f}")
-        if self.reduction is not None:
-            lines.append(f"point_reduction,{self.reduction:.6f}")
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -143,6 +129,4 @@ class Report:
                 continue
             lines.append(f"  {self.class_map.name_of(cid):<{width}}  {value * 100:6.2f}")
         lines.append(f"  {'mIoU':<{width}}  {self.miou * 100:6.2f}")
-        if self.reduction is not None:
-            lines.append(f"  {'point reduction':<{width}}  {self.reduction * 100:6.2f}%")
         return "\n".join(lines)

@@ -110,17 +110,6 @@ def slice_cloud(cloud: PointCloud, mask):
     return cloud.take(index_map), index_map
 
 
-def scatter(values: np.ndarray, index_map: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write sliced `values` back into `out` at `index_map`; rest untouched."""
-    values = np.asarray(values)
-    if values.shape[0] != index_map.shape[0]:
-        raise SizeMismatch(
-            f"{values.shape[0]} values vs index map of {index_map.shape[0]}"
-        )
-    out[index_map] = values
-    return out
-
-
 def lift_probs(prob_map: np.ndarray, cloud: PointCloud, rig: CalibrationRig,
                sampling: str = "nearest"):
     """Lift an (H, W, C) probability map onto the cloud.

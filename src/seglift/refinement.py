@@ -39,9 +39,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import PointCloud
 from .errors import BadK, DimMismatch, EmptyInput
-from .projection import FovMask, _as_mask
 
 # Only build_tree needs scipy, and `_ckdtree` loads only its kd-tree
 # extension; commands that build no tree never load scipy.
@@ -63,10 +61,9 @@ _LOAD_LOCK = threading.Lock()
 
 @dataclass(eq=False)
 class KdTree:
-    """Immutable spatial index over the masked subset of a cloud."""
+    """Immutable spatial index over (M, 3) points."""
 
-    points: np.ndarray     # (M, 3) float64, the indexed subset
-    index_map: np.ndarray  # (M,) positions of the subset in the original cloud
+    points: np.ndarray  # (M, 3) float64
     _kd: cKDTree = field(repr=False)
 
     def __len__(self) -> int:
@@ -75,8 +72,8 @@ class KdTree:
     def neighbors(self, k: int, include_self: bool = True):
         """K nearest indexed points for every indexed point.
 
-        Returns (indices, distances), both (M, k); indices are positions
-        in the indexed subset (apply `index_map` for original-cloud ids).
+        Returns (indices, distances), both (M, k); indices are rows of
+        `points`.
         """
         m = len(self)
         skip = 0 if include_self else 1  # the query leads its row; drop it when excluded
@@ -179,20 +176,16 @@ def _ckdtree() -> type:
         return sys.modules[name].cKDTree
 
 
-def build_tree(cloud: PointCloud, mask=None) -> KdTree:
-    """Index the masked points (all points if mask is None)."""
-    n = len(cloud)
-    if mask is None:
-        index_map = np.arange(n)
-    else:
-        arr = _as_mask(mask, n)
-        index_map = mask.index_map if isinstance(mask, FovMask) else np.flatnonzero(arr)
-    if index_map.size == 0:
-        raise EmptyInput("mask selects no points")
-    pts = np.ascontiguousarray(cloud.xyz[index_map], dtype=np.float64)
+def build_tree(points: np.ndarray) -> KdTree:
+    """Index (M, 3) float64 points, for example a cloud's in-view `xyz[mask.index_map]`."""
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise DimMismatch(f"points must be (M, 3), got shape {pts.shape}")
+    if pts.shape[0] == 0:
+        raise EmptyInput("no points to index")
     # Sliding-midpoint splits build and query faster than median splits;
     # the contract order comes from `_probe`'s re-sort, not from the tree.
-    return KdTree(points=pts, index_map=index_map, _kd=_ckdtree()(pts, balanced_tree=False))
+    return KdTree(points=pts, _kd=_ckdtree()(pts, balanced_tree=False))
 
 
 def _graph_rows(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:

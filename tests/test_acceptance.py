@@ -34,7 +34,7 @@ from seglift.errors import (
     UnsupportedVersion,
 )
 from seglift.evaluation import ConfusionMatrix, accumulate, iou, report
-from seglift.projection import fov_mask, lift_probs, scatter, slice_cloud, project_points
+from seglift.projection import fov_mask, lift_probs, slice_cloud, project_points
 from seglift.refinement import (
     build_tree,
     refine_confidence_avg,
@@ -108,9 +108,10 @@ def refined_corpus(lifted_corpus):
     """Confidence-averaged (k=19) labels and confidences per scan."""
     out = []
     for cloud, gt, rows, mask in lifted_corpus:
-        idx, _ = build_tree(cloud, mask).neighbors(19, True)
+        idx, _ = build_tree(cloud.xyz[mask.index_map]).neighbors(19, True)
         winners, refined = refine_confidence_avg(rows, idx)
-        labels = scatter(winners, mask.index_map, np.zeros(len(cloud), dtype=np.uint16))
+        labels = np.zeros(len(cloud), dtype=np.uint16)
+        labels[mask.index_map] = winners
         conf = np.zeros(len(cloud))
         conf[mask.index_map] = refined.max(axis=1)
         out.append((gt, labels, conf, mask))
@@ -148,7 +149,7 @@ def test_criterion_2_knn_oracle_equivalence():
             xyz = rng.uniform(-12, 12, (n, 3))
             probs = rng.dirichlet(np.ones(5), size=n)
             cloud = PointCloud(xyz, rng.uniform(0, 1, n))
-            tree = build_tree(cloud)
+            tree = build_tree(cloud.xyz)
             # one exhaustive ranking per cloud; k-neighborhoods are prefixes
             bidx_all, bdist_all = knn_brute(xyz, min(max(ks), n))
             for k in ks:
@@ -175,10 +176,12 @@ def test_criterion_3_refinement_improves_noisy_corpus(lifted_corpus):
                for scheme in ("confidence_avg", "majority", "distance_weighted")}
         for cloud, gt, rows, mask in lifted_corpus:
             def full(winners):  # one label per cloud point, ignore out of view
-                return scatter(winners, mask.index_map, np.zeros(len(cloud), dtype=np.uint16))
+                labels = np.zeros(len(cloud), dtype=np.uint16)
+                labels[mask.index_map] = winners
+                return labels
 
             base = full(rows.argmax(axis=1))
-            tree = build_tree(cloud, mask)
+            tree = build_tree(cloud.xyz[mask.index_map])
             idx, dist = tree.neighbors(19, True)
             k1, _ = refine_confidence_avg(rows, tree.neighbors(1, True)[0])
             np.testing.assert_array_equal(full(k1), base)  # k=1 == unrefined, exactly
@@ -258,12 +261,6 @@ def test_criterion_5_projection_correctness():
         assert mask.mask.tolist() == expected
 
         sliced, index_map = slice_cloud(cloud, mask)
-        values = rng.uniform(0, 1, 1000)
-        base = values.copy()
-        out = scatter(values[index_map] * 2.0, index_map, values.copy())
-        np.testing.assert_array_equal(out[index_map], base[index_map] * 2.0)
-        untouched = np.setdiff1d(np.arange(1000), index_map)
-        np.testing.assert_array_equal(out[untouched], base[untouched])
         np.testing.assert_array_equal(sliced.xyz, cloud.xyz[index_map])
 
 

@@ -18,10 +18,9 @@ import pytest
 
 import seglift
 import seglift.cli
-from oracles import confidence_avg_brute, distance_weighted_brute, majority_brute
+from oracles import confidence_avg_brute, distance_weighted_brute, knn_brute, majority_brute
 from seglift import io, refinement
 from seglift.cli import main
-from seglift.core import PointCloud
 from seglift.refinement import build_tree, graph_distances
 
 
@@ -42,6 +41,20 @@ def clean_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("clean_corpus")
     assert run(["synth", "--out", root, "--scenes", "2", "--seed", "9",
                 "--border-rate", "0", "--body-rate", "0"]) == 0
+    return root
+
+
+@pytest.fixture(scope="module")
+def sparse_corpus(corpus, tmp_path_factory):
+    """`corpus` with every 8th point of each scan: small enough for the exhaustive KNN oracle."""
+    root = tmp_path_factory.mktemp("sparse_corpus")
+    shutil.copytree(corpus, root, dirs_exist_ok=True)
+    seq = root / "sequences" / "00"
+    for stem in ("000000", "000001"):
+        cloud = io.read_cloud_bin(seq / "velodyne" / f"{stem}.bin")
+        io.write_cloud_bin(cloud.take(np.arange(0, len(cloud), 8)), seq / "velodyne" / f"{stem}.bin")
+        labels, _ = io.read_labels(seq / "labels" / f"{stem}.label")
+        io.write_labels(labels[::8], seq / "labels" / f"{stem}.label")
     return root
 
 
@@ -161,19 +174,22 @@ class TestStages:
 
     @pytest.mark.parametrize("scheme", ["confidence_avg", "majority", "distance_weighted"])
     def test_refine_scatters_the_graph_votes_and_ignores_points_out_of_view(
-            self, corpus, tmp_path, scheme):
-        """In view, each label is the scheme's oracle vote over the stored graph;
-        out of view, the label is IGNORE_ID and the confidence 0."""
+            self, sparse_corpus, tmp_path, scheme):
+        """The stored graph is the exhaustive oracle's; in view, each label is the
+        scheme's oracle vote over it; out of view, the label is IGNORE_ID and the
+        confidence 0."""
         out = tmp_path / "out"
-        base = ["--dataset-root", corpus, "--output-root", out]
+        base = ["--dataset-root", sparse_corpus, "--output-root", out]
         assert run(["lift", *base]) == 0
         assert run(["refine", *base, "--scheme", scheme, "--k", "5"]) == 0
-        seq = out / "sequences" / "00"
+        seq, velodyne = out / "sequences" / "00", sparse_corpus / "sequences" / "00" / "velodyne"
         for stem in ("000000", "000001"):
             view = io.read_tensor(seq / "fov_mask" / f"{stem}.ptns").astype(bool)
             rows = io.read_tensor(seq / "probs_3d" / f"{stem}.ptns")
             [graph_path] = (seq / "knn" / stem).glob("*.ptns")
             idx = io.read_tensor(graph_path)
+            xyz = io.read_cloud_bin(velodyne / f"{stem}.bin").xyz
+            np.testing.assert_array_equal(idx, knn_brute(xyz[view], 5)[0])
             labels, _ = io.read_labels(seq / "refined_labels" / f"{stem}.label")
             conf = io.read_tensor(seq / "confidences" / f"{stem}.ptns")
             assert view.any() and (~view).any()
@@ -181,7 +197,6 @@ class TestStages:
             if scheme == "majority":
                 expected = majority_brute(rows, idx)
             elif scheme == "distance_weighted":
-                xyz = io.read_cloud_bin(corpus / "sequences" / "00" / "velodyne" / f"{stem}.bin").xyz
                 expected = distance_weighted_brute(rows, idx, graph_distances(xyz[view], idx))
             else:
                 expected, averaged = confidence_avg_brute(rows, idx)
@@ -590,14 +605,30 @@ def cut_rows(path):
 
 
 class TestFilesThatDoNotFit:
-    """Every file a command reads for a scan is checked against the shape that
-    scan expects: a misfit exits 1 naming the file, never as a config error."""
+    """Every file a command reads for a scan is checked against the shape and
+    the dtype that scan expects: a misfit exits 1 naming the file, never as a
+    config error."""
+
+    # Row -> the file's new contents: the right shape and the wrong dtype (or,
+    # for a mask, entries other than 0 and 1), each of which a shape check passes.
+    RETYPED = {
+        "refine-fov-mask:float32": lambda mask: mask * np.float32(0.5),
+        "refine-fov-mask:uint32": lambda mask: mask * np.uint32(7),
+        "refine-fov-mask:sevens": lambda mask: mask * np.uint8(7),
+        "refine-probs-3d:uint32": lambda p: (p == p.max(axis=1, keepdims=True)).astype(np.uint32),
+        "slice-fov-mask:float32": lambda mask: mask * np.float32(0.5),
+        "slice-fov-mask:uint32": lambda mask: mask * np.uint32(7),
+        "eval-masks:float32": lambda mask: mask * np.float32(0.5),
+        "eval-masks:uint32": lambda mask: mask * np.uint32(7),
+        "threshold-confidences:uint8": lambda conf: (conf * 255).astype(np.uint8),
+    }
 
     @pytest.mark.parametrize("row", [
         "lift-teacher-map", "pipeline-teacher-map", "lift-teacher-map-no-classes",
         "pipeline-teacher-map-no-classes", "refine-fov-mask", "refine-probs-3d",
         "refine-knn-graph", "slice-fov-mask", "slice-labels", "threshold-confidences",
         "threshold-static-refined-labels", "eval-pred", "eval-masks", "tta-aggregate-variant",
+        *RETYPED,
     ])
     def test_misfit_exits_one_naming_the_file(self, corpus, piped, tmp_path, capsys, row):
         data, out = tmp_path / "data", tmp_path / "out"
@@ -627,13 +658,15 @@ class TestFilesThatDoNotFit:
             "eval-masks": ([*evaluate, "--masks", dst / "fov_mask"],
                            dst / "fov_mask" / "000001.ptns"),
             "tta-aggregate-variant": (["tta", "aggregate", *roots], src / "tta" / "000001_v05.ptns"),
-        }[row]
+        }[row.split(":")[0]]
         if row.startswith("tta"):
             for stem in ("000000", "000001"):
                 for i in range(12):
                     io.write_tensor(np.full((4, 3), 0.25, np.float32),
                                     src / "tta" / f"{stem}_v{i:02d}.ptns")
-        if row.endswith("no-classes"):  # (H, W, 0)
+        if row in self.RETYPED:
+            io.write_tensor(self.RETYPED[row](io.read_tensor(path)), path)
+        elif row.endswith("no-classes"):  # (H, W, 0)
             io.write_tensor(np.zeros((*io.read_tensor(path).shape[:2], 0), np.float32), path)
         elif "teacher-map" in row:  # (H, W) instead of (H, W, C)
             io.write_tensor(io.read_tensor(path)[..., 0].copy(), path)
@@ -705,13 +738,13 @@ def graphs(out):
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Cloud sizes of the refinements that built a kd-tree (graph misses), in call order."""
+    """Point counts of the refinements that built a kd-tree (graph misses), in call order."""
     calls = []
     build = seglift.cli.build_tree
 
-    def counted(cloud, mask=None):
-        calls.append(len(cloud))
-        return build(cloud, mask)
+    def counted(points):
+        calls.append(len(points))
+        return build(points)
 
     monkeypatch.setattr(seglift.cli, "build_tree", counted)
     return calls
@@ -966,7 +999,7 @@ class TestKdTreeLoader:
         return patch
 
     def test_a_later_public_import_binds_the_class_build_tree_used(self):
-        tree = build_tree(PointCloud(np.eye(3), np.zeros(3)))
+        tree = build_tree(np.eye(3))
         from scipy.spatial import cKDTree
         assert type(tree._kd) is cKDTree
         assert sys.modules[self.NAME].cKDTree is cKDTree
@@ -998,11 +1031,11 @@ class TestKdTreeLoader:
         code = ("import sys, threading\n"
                 "sys.setswitchinterval(1e-5)\n"
                 "import numpy as np\n"
-                "from seglift import PointCloud, build_tree\n"
-                "cloud = PointCloud(np.random.default_rng(0).random((200, 3)), np.zeros(200))\n"
+                "from seglift import build_tree\n"
+                "points = np.random.default_rng(0).random((200, 3))\n"
                 "done = []\n"
                 "def search():\n"
-                "    done.append(build_tree(cloud).neighbors(5)[0].shape)\n"
+                "    done.append(build_tree(points).neighbors(5)[0].shape)\n"
                 "threads = [threading.Thread(target=search) for _ in range(4)]\n"
                 "for t in threads: t.start()\n"
                 "for t in threads: t.join(60)\n"
@@ -1049,8 +1082,8 @@ class TestKdTreeLoader:
                 "import numpy\n"
                 "import numpy.ma\n"
                 "ma = numpy.ma\n"
-                "from seglift import PointCloud, build_tree, refinement\n"
-                "tree = build_tree(PointCloud(numpy.eye(3), numpy.zeros(3)))\n"
+                "from seglift import build_tree, refinement\n"
+                "tree = build_tree(numpy.eye(3))\n"
                 "assert 'numpy.testing._private.utils' not in sys.modules\n"
                 "assert numpy.ma is ma and sys.modules['numpy.ma'] is ma\n"
                 "assert numpy.ma.masked_array([1, 2], [0, 1]).count() == 1\n"

@@ -108,19 +108,10 @@ class TestReport:
         mean_of_scans = (iou(s1)[1] + iou(s2)[1]) / 2.0
         assert pooled != pytest.approx(mean_of_scans)
 
-    def test_reduction_is_point_weighted(self):
-        m = accumulate(arr(1), arr(1), 3)
-        rep = report([m, m], CM3, reductions=[(10, 100), (0, 900)])
-        assert rep.reduction == 0.01
-
     def test_csv_format(self):
         m = accumulate(arr(1, 1, 2), arr(1, 2, 2), 3)
-        csv = report([m], CM3, reductions=[(1, 4)]).to_csv()
-        lines = csv.strip().splitlines()
-        assert lines[0] == "1,a,0.500000"
-        assert lines[1] == "2,b,0.500000"
-        assert lines[2] == "mIoU,0.500000"
-        assert lines[3] == "point_reduction,0.250000"
+        csv = report([m], CM3).to_csv()
+        assert csv.strip().splitlines() == ["1,a,0.500000", "2,b,0.500000", "mIoU,0.500000"]
 
     def test_needs_at_least_one_matrix(self):
         with pytest.raises(EmptyMatrix):

@@ -18,7 +18,6 @@ from seglift.projection import (
     lift_probs,
     merge_lifted,
     project_points,
-    scatter,
     slice_cloud,
 )
 
@@ -119,16 +118,6 @@ class TestSliceCloud:
     def test_length_mismatch(self):
         with pytest.raises(SizeMismatch):
             slice_cloud(cloud_of(np.zeros((3, 3))), np.zeros(4, dtype=bool))
-
-    def test_scatter_roundtrip_leaves_rest_untouched(self):
-        rng = np.random.default_rng(5)
-        values = rng.uniform(0, 1, 20).astype(np.float32)
-        mask = rng.random(20) < 0.5
-        index_map = np.flatnonzero(mask)
-        base = np.full(20, -1.0, dtype=np.float32)
-        out = scatter(values[index_map], index_map, base.copy())
-        np.testing.assert_array_equal(out[mask], values[mask])
-        assert np.all(out[~mask] == -1.0)
 
 
 class TestLiftProbs:

@@ -48,24 +48,29 @@ def random_probs(n, c, seed):
 
 def graph(cloud, k, include_self=True):
     """The exact (idx, dist) K-neighbor graph of every point of `cloud`."""
-    return build_tree(cloud).neighbors(k, include_self)
+    return build_tree(cloud.xyz).neighbors(k, include_self)
 
 
 class TestKdTreeQueries:
     def test_single_point_self_query(self):
-        tree = build_tree(cloud_from([[1.0, 2.0, 3.0]]))
+        tree = build_tree(np.array([[1.0, 2.0, 3.0]]))
         idx, dist = tree.neighbors(1)
         assert idx.tolist() == [[0]]
         assert dist.tolist() == [[0.0]]
 
     def test_empty_mask_rejected(self):
         with pytest.raises(EmptyInput):
-            build_tree(random_cloud(5, 0), np.zeros(5, dtype=bool))
+            build_tree(random_cloud(5, 0).xyz[np.zeros(5, dtype=bool)])
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 2), (5, 4), (1, 5, 3)])
+    def test_points_not_m_by_3_rejected(self, shape):
+        with pytest.raises(DimMismatch):
+            build_tree(np.zeros(shape))
 
     def test_matches_exhaustive_search_on_random_points(self):
         for seed in (0, 1, 2):
             cloud = random_cloud(500, seed)
-            tree = build_tree(cloud)
+            tree = build_tree(cloud.xyz)
             for k in (3, 19):
                 idx, dist = tree.neighbors(k)
                 bidx, bdist = knn_brute(cloud.xyz, k)
@@ -74,7 +79,7 @@ class TestKdTreeQueries:
 
     def test_equidistant_pair_resolves_to_lower_index(self):
         # Points 1 and 2 are both at distance 1 from point 0.
-        tree = build_tree(cloud_from([[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
+        tree = build_tree(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], float))
         idx, _ = tree.neighbors(2)
         assert idx[0].tolist() == [0, 1]
 
@@ -83,7 +88,7 @@ class TestKdTreeQueries:
         g = np.stack(np.meshgrid(np.arange(4), np.arange(4), np.arange(2),
                                  indexing="ij"), axis=-1).reshape(-1, 3).astype(float)
         cloud = cloud_from(g)
-        tree = build_tree(cloud)
+        tree = build_tree(cloud.xyz)
         for k in (1, 3, 5, 9):
             idx, dist = tree.neighbors(k)
             bidx, bdist = knn_brute(cloud.xyz, k)
@@ -92,7 +97,7 @@ class TestKdTreeQueries:
 
     def test_duplicate_points_keep_self_first(self):
         xyz = np.array([[0.0, 0.0, 0.0]] * 4 + [[5.0, 0.0, 0.0]])
-        tree = build_tree(cloud_from(xyz))
+        tree = build_tree(xyz)
         idx, dist = tree.neighbors(3)
         for q in range(4):
             assert idx[q, 0] == q
@@ -105,7 +110,7 @@ class TestKdTreeQueries:
     def test_exclude_self_matches_oracle(self):
         for seed in (5, 6):
             cloud = random_cloud(120, seed)
-            tree = build_tree(cloud)
+            tree = build_tree(cloud.xyz)
             idx, dist = tree.neighbors(7, include_self=False)
             bidx, bdist = knn_brute(cloud.xyz, 7, include_self=False)
             np.testing.assert_array_equal(idx, bidx)
@@ -114,13 +119,13 @@ class TestKdTreeQueries:
 
     def test_exclude_self_with_duplicates(self):
         xyz = np.array([[0.0, 0.0, 0.0]] * 5)
-        tree = build_tree(cloud_from(xyz))
+        tree = build_tree(xyz)
         idx, _ = tree.neighbors(3, include_self=False)
         bidx, _ = knn_brute(xyz, 3, include_self=False)
         np.testing.assert_array_equal(idx, bidx)
 
     def test_k_larger_than_points_rejected(self):
-        tree = build_tree(random_cloud(4, 7))
+        tree = build_tree(random_cloud(4, 7).xyz)
         with pytest.raises(BadK):
             tree.neighbors(5)
         with pytest.raises(BadK):
@@ -130,9 +135,9 @@ class TestKdTreeQueries:
         cloud = random_cloud(50, 8)
         mask = np.zeros(50, dtype=bool)
         mask[::2] = True
-        tree = build_tree(cloud, mask)
+        tree = build_tree(cloud.xyz[mask])
         assert len(tree) == 25
-        assert tree.index_map.tolist() == list(range(0, 50, 2))
+        np.testing.assert_array_equal(tree.points, cloud.xyz[::2])
         idx, _ = tree.neighbors(3)
         bidx, _ = knn_brute(cloud.xyz[mask], 3)
         np.testing.assert_array_equal(idx, bidx)
@@ -256,12 +261,12 @@ class TestOracleEquivalence:
         np.testing.assert_array_equal(refined, brefined)
 
     def test_masked_tree_graph_matches_oracle(self):
-        """A masked tree's graph refines the masked rows alone, in index_map order."""
+        """A masked tree's graph refines the masked rows alone, in mask order."""
         cloud = random_cloud(60, 13)
         probs = random_probs(60, 4, 13)
         mask = np.zeros(60, dtype=bool)
         mask[10:40] = True
-        idx, _ = build_tree(cloud, mask).neighbors(3, True)
+        idx, _ = build_tree(cloud.xyz[mask]).neighbors(3, True)
         bidx, _ = knn_brute(cloud.xyz[mask], 3)
         np.testing.assert_array_equal(refine_majority(probs[mask], idx),
                                       majority_brute(probs[mask], bidx))
@@ -297,7 +302,7 @@ def test_neighbor_stress_battery_matches_oracle():
         layouts.append(rng.integers(0, 3, (int(rng.integers(4, 30)), 3)).astype(float))
     for xyz in layouts:
         n = len(xyz)
-        tree = build_tree(cloud_from(xyz))
+        tree = build_tree(xyz)
         for include_self in (True, False):
             lim = n if include_self else n - 1
             for k in sorted({1, 3, lim}):
@@ -359,7 +364,7 @@ def test_neighbors_bit_equal_to_oracle_on_integer_grids(query):
     """Integer grids (mostly re-sorted tie rows) and continuous clouds
     (mostly rows that skip the re-sort) against the exhaustive oracle."""
     xyz, k, include_self = query
-    idx, dist = build_tree(cloud_from(xyz)).neighbors(k, include_self)
+    idx, dist = build_tree(xyz).neighbors(k, include_self)
     bidx, bdist = knn_brute(xyz, k, include_self)
     np.testing.assert_array_equal(idx, bidx)
     np.testing.assert_array_equal(dist, bdist)
@@ -372,7 +377,7 @@ def test_stored_graph_distances_bit_equal_to_search(query, spacing, offset):
     """Distances rebuilt from a graph as stored (uint32) equal the search's,
     on shifted grids whose coordinates round; ties and duplicates are common."""
     xyz, k, include_self = query
-    tree = build_tree(cloud_from(xyz * spacing + offset))
+    tree = build_tree(xyz * spacing + offset)
     idx, dist = tree.neighbors(k, include_self)
     np.testing.assert_array_equal(graph_distances(tree.points, idx.astype(np.uint32)), dist)
 
@@ -383,7 +388,7 @@ def test_every_scheme_refines_a_stored_graph_like_its_tree(include_self):
     xyz = np.round(np.random.default_rng(31).uniform(0, 4, (300, 3)))  # many ties
     mask = np.random.default_rng(32).random(300) < 0.7
     rows = random_probs(300, 5, 33)[mask]
-    tree = build_tree(cloud_from(xyz), mask)
+    tree = build_tree(xyz[mask])
     idx, dist = tree.neighbors(7, include_self)
     stored = idx.astype(np.uint32)
     stored_dist = graph_distances(tree.points, stored)
@@ -402,7 +407,7 @@ def test_coincident_cluster_widens_probe_below_full_set(include_self):
     probe must widen over several rounds while staying below all 200 points."""
     xyz = np.random.default_rng(17).uniform(-10, 10, (200, 3))
     xyz[60:100] = xyz[60]
-    tree = build_tree(cloud_from(xyz))
+    tree = build_tree(xyz)
     probes = []
     query = tree._kd.query
     tree._kd = SimpleNamespace(query=lambda x, k: probes.append(k) or query(x, k=k))
@@ -418,7 +423,7 @@ def test_coincident_group_search_memory_is_bounded():
     must gather candidates in bounded chunks, not one c x 2c block."""
     xyz = np.random.default_rng(23).uniform(-50, 50, (20000, 3))
     xyz[:2000] = 0.0
-    tree = build_tree(cloud_from(xyz))
+    tree = build_tree(xyz)
     tracemalloc.start()
     try:
         idx, dist = tree.neighbors(19)
@@ -449,7 +454,7 @@ def duplicated_clouds(draw):
 def test_k1_with_self_is_identity_for_every_scheme(case):
     xyz, probs, mask = case
     rows = probs[mask]
-    idx, dist = build_tree(cloud_from(xyz), mask).neighbors(1, True)
+    idx, dist = build_tree(xyz[mask]).neighbors(1, True)
     own = rows.argmax(axis=1)
     for tie_break in ("lowest", "keep"):
         np.testing.assert_array_equal(refine_majority(rows, idx, tie_break), own)
@@ -470,7 +475,7 @@ def test_schemes_on_duplicated_clouds_equal_oracles(case, k, include_self):
     k = min(k, len(rows) - (not include_self))
     assume(k >= 1)
     k -= 1 - k % 2
-    idx, dist = build_tree(cloud_from(xyz), mask).neighbors(k, include_self)
+    idx, dist = build_tree(xyz[mask]).neighbors(k, include_self)
     bidx, bdist = knn_brute(xyz[mask], k, include_self)
     for tie_break in ("lowest", "keep"):
         np.testing.assert_array_equal(refine_majority(rows, idx, tie_break),

@@ -94,7 +94,7 @@ class TestSimulateTeacher:
         scene = render_scene(spec)
         prob_map = simulate_teacher(spec, 0.0, 0.0, seed=2)
         probs, mask = projection.lift_probs(prob_map, scene.cloud, scene.rig)
-        idx, _ = refinement.build_tree(scene.cloud, mask).neighbors(1, True)
+        idx, _ = refinement.build_tree(scene.cloud.xyz[mask.index_map]).neighbors(1, True)
         labels, _ = refinement.refine_confidence_avg(probs.astype(np.float64), idx)
         np.testing.assert_array_equal(labels, scene.labels[mask.index_map])
 
