@@ -39,7 +39,7 @@ from .core import IGNORE_ID, ClassMap
 from .errors import (ConfigError, DimMismatch, FormatError, NonFiniteValue, NotADistribution,
                      ToolkitError, UnknownClassError)
 from .evaluation import ConfusionMatrix, report
-from .projection import FovMask, lift_probs, merge_lifted, slice_cloud
+from .projection import FovMask, check_rows, lift_probs, merge_lifted, slice_cloud
 from .refinement import (build_tree, graph_distances, refine_confidence_avg,
                          refine_distance_weighted, refine_majority)
 from .thresholding import apply_threshold, class_thresholds, histogram, static_thresholds
@@ -191,20 +191,12 @@ def _prune_graphs(scan: Scan, keep: Path | None = None) -> None:
             knn.rmdir()
 
 
-def _read(path: Path, shape: tuple, dtype) -> np.ndarray:
-    """The stage tensor at `path`, once its shape and dtype fit; else a DimMismatch naming it.
-
-    A bool tensor (an FOV mask) is stored as uint8 entries that are 0 or 1.
-    """
-    stored = np.dtype(np.uint8 if dtype is bool else dtype)
-    tensor = io.read_tensor(path, shape=shape)
-    if tensor.dtype != stored:
-        raise DimMismatch(f"{path}: {tensor.dtype} tensor, expected {stored}")
-    if dtype is not bool:
-        return tensor
-    if tensor.size and tensor.max() > 1:
-        raise DimMismatch(f"{path}: mask entry {tensor.max()}, expected 0 or 1")
-    return tensor.view(bool)
+def _read_mask(path: Path, n: int) -> FovMask:
+    """The FOV mask of `n` points at `path`: uint8 entries that are 0 or 1."""
+    mask = io.read_tensor(path, (n,), np.uint8)
+    if mask.size and mask.max() > 1:
+        raise DimMismatch(f"{path}: mask entry {mask.max()}, expected 0 or 1")
+    return FovMask(mask.view(bool))
 
 
 def _neighborhood(scan: Scan, points: np.ndarray, k: int, include_self: bool, with_dist: bool):
@@ -223,7 +215,7 @@ def _neighborhood(scan: Scan, points: np.ndarray, k: int, include_self: bool, wi
     path = scan.out / D_KNN / scan.stem / f"{key.hexdigest()}.ptns"
     if path.is_file():
         m = len(points)
-        idx = _read(path, (m, k), np.uint32)
+        idx = io.read_tensor(path, (m, k), np.uint32)
         if idx.max() >= m:
             raise FormatError(f"{path}: neighbor {idx.max()} outside {m} indexed points")
         return idx, graph_distances(points, idx) if with_dist else None
@@ -270,8 +262,10 @@ def _lift_only(cfg: PipelineConfig, scan: Scan) -> None:
 
 def _refine_stored(cfg: PipelineConfig, scan: Scan) -> np.ndarray:
     cloud = io.read_cloud_bin(scan.cloud)
-    mask = FovMask(_read(scan.output(D_MASK), (len(cloud),), bool))
-    rows = _read(scan.output(D_PROBS3D), (mask.count, None), np.float32)
+    mask = _read_mask(scan.output(D_MASK), len(cloud))
+    path = scan.output(D_PROBS3D)
+    rows = check_rows(io.read_tensor(path, (mask.count, None), np.float32),
+                      lambda i: f"{path}: row {i}")
     return _refine(cfg, scan, cloud, rows, mask)
 
 
@@ -281,11 +275,11 @@ def _lift_refine(cfg: PipelineConfig, scan: Scan) -> np.ndarray:
 
 def _cut(class_map: ClassMap, thresholds: np.ndarray, scan: Scan):
     labels, _ = io.read_labels(scan.output(D_REFINED, ".label"), class_map=class_map)
-    conf = _read(scan.output(D_CONF), labels.shape, np.float32).astype(np.float64)
+    conf = io.read_tensor(scan.output(D_CONF), labels.shape, np.float32).astype(np.float64)
     try:
         out, _ = apply_threshold(labels, conf, thresholds)
-    except NonFiniteValue as exc:
-        raise NonFiniteValue(f"{scan.output(D_CONF)}: {exc}") from exc
+    except (NonFiniteValue, NotADistribution) as exc:
+        raise type(exc)(f"{scan.output(D_CONF)}: {exc}") from exc
     labeled = int((labels != IGNORE_ID).sum())
     removed = labeled - int((out != IGNORE_ID).sum())
     io.write_labels(out, scan.output(D_PSEUDO, ".label"))
@@ -294,7 +288,7 @@ def _cut(class_map: ClassMap, thresholds: np.ndarray, scan: Scan):
 
 def _slice(masks: str | None, scan: Scan) -> None:
     cloud = io.read_cloud_bin(scan.cloud)
-    sliced, index_map = slice_cloud(cloud, _read(scan.fov_mask(masks), (len(cloud),), bool))
+    sliced, index_map = slice_cloud(cloud, _read_mask(scan.fov_mask(masks), len(cloud)))
     io.write_cloud_bin(sliced, scan.output(D_SLICED, ".bin"))
     io.write_tensor(index_map.astype(np.uint32), scan.output(D_INDEX))
     label_path = scan.seq / D_LABELS / f"{scan.stem}.label"
@@ -315,8 +309,8 @@ def _tta_aggregate(subdir: str, scan: Scan) -> None:
     from . import tta
 
     first, *rest = scan.variants(subdir)
-    tensors = [io.read_tensor(first)]
-    tensors += [io.read_tensor(path, shape=tensors[0].shape) for path in rest]
+    tensors = [io.read_tensor(first, dtype=np.float32)]
+    tensors += [io.read_tensor(path, tensors[0].shape, np.float32) for path in rest]
     io.write_tensor(tta.aggregate_tta(tensors), scan.output(D_AGG))
 
 
@@ -492,7 +486,7 @@ def cmd_eval(args) -> int:
         pred, _ = io.read_labels(pred_dir / f"{stem}.label", class_map=class_map, count=len(gt))
         mask = None
         if args.masks:
-            mask = _read(Path(args.masks) / f"{stem}.ptns", gt.shape, bool)
+            mask = _read_mask(Path(args.masks) / f"{stem}.ptns", len(gt))
         matrices.append(ConfusionMatrix(class_map.num_classes).update(gt, pred, mask))
     result = report(matrices, class_map)
     print(result.to_text())

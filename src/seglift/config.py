@@ -153,7 +153,7 @@ def read_config(path=None, flags: dict | None = None) -> PipelineConfig:
         raw = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     try:
         return parse_config(raw, base_dir=path.parent, flags=flags)

@@ -219,16 +219,17 @@ def write_calib(rig: CalibrationRig, path, camera: int = 2) -> None:
 # PTNS tensors
 
 
-def read_tensor(path, shape: tuple[int | None, ...] | None = None,
+def read_tensor(path, shape: tuple[int | None, ...] | None = None, dtype=None,
                 mmap: bool = False) -> np.ndarray:
     """Read a PTNS container into a new array (C-order, native little-endian).
 
     The header is checked against the expected `shape` (a None entry
-    matches any size) and the file size before anything is allocated, and
-    the payload is read straight into the returned array.  With `mmap`,
-    the same checks pass first and the result is a read-only `np.memmap`
-    over the payload, which reads only the pages that are touched; the
-    file must not be truncated while the map is in use.
+    matches any size), then the expected `dtype` (None matches any), then
+    the file size, all before anything is allocated; the payload is read
+    straight into the returned array.  With `mmap`, the same checks pass
+    first and the result is a read-only `np.memmap` over the payload,
+    which reads only the pages that are touched; the file must not be
+    truncated while the map is in use.
     """
     with open(path, "rb") as fh:
         head = fh.read(10)
@@ -249,13 +250,15 @@ def read_tensor(path, shape: tuple[int | None, ...] | None = None,
             raise DimMismatch(f"{path}: ndim {ndim} exceeds {_MAX_NDIM}")
         dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
         _fit(path, dims, shape)
-        dtype = _DTYPES[dtype_code]
-        expected = math.prod(dims) * dtype.itemsize
+        stored = _DTYPES[dtype_code]
+        if dtype is not None and stored != dtype:
+            raise DimMismatch(f"{path}: {stored} tensor, expected {np.dtype(dtype)}")
+        expected = math.prod(dims) * stored.itemsize
         if size - header_end != expected:
             raise SizeMismatch(f"{path}: payload {size - header_end} bytes, expected {expected}")
         if mmap:
-            return np.memmap(fh, dtype=dtype, mode="r", offset=header_end, shape=dims)
-        arr = np.empty(dims, dtype=dtype)
+            return np.memmap(fh, dtype=stored, mode="r", offset=header_end, shape=dims)
+        arr = np.empty(dims, dtype=stored)
         got = fh.readinto(arr.reshape(-1).view(np.uint8))
         if got != expected:
             raise SizeMismatch(f"{path}: payload {got} bytes, expected {expected}")

@@ -35,14 +35,7 @@ class FovMask:
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.mask.ndim != 1:
             raise ValueError(f"mask must be 1-D, got shape {self.mask.shape}")
-        self._index_map = None
-
-    @property
-    def index_map(self) -> np.ndarray:
-        """Strictly increasing indices of the true entries."""
-        if self._index_map is None:
-            self._index_map = np.flatnonzero(self.mask)
-        return self._index_map
+        self.index_map = np.flatnonzero(self.mask)  # strictly increasing
 
     def __len__(self) -> int:
         return self.mask.shape[0]
@@ -139,13 +132,12 @@ def lift_probs(prob_map: np.ndarray, cloud: PointCloud, rig: CalibrationRig,
     return rows.astype(np.float32, copy=False), mask
 
 
-def _sampled_rows(prob_map: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The map rows at pixels (x, y); NotADistribution names the first that is no distribution.
+def check_rows(rows: np.ndarray, where) -> np.ndarray:
+    """`rows`, once each is a probability row; else NotADistribution names the first bad one.
 
     Each entry must lie in [0, 1] (NaN does not) and the row must sum to 1
-    within ROW_SUM_TOLERANCE.
+    within ROW_SUM_TOLERANCE.  Bad row i is named as `where(i)`.
     """
-    rows = prob_map[y, x]
     with np.errstate(invalid="ignore", over="ignore"):
         sums = rows.sum(axis=1, dtype=np.float64)
         bad = ~(((rows >= 0.0) & (rows <= 1.0)).all(axis=1)
@@ -153,9 +145,14 @@ def _sampled_rows(prob_map: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndar
     if bad.any():
         i = int(np.argmax(bad))
         raise NotADistribution(
-            f"pixel (u={x[i]}, v={y[i]}) is not a probability row: entries in "
+            f"{where(i)} is not a probability row: entries in "
             f"[{rows[i].min()}, {rows[i].max()}], sum {sums[i]}")
     return rows
+
+
+def _sampled_rows(prob_map: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The map rows at pixels (x, y), each checked as a probability row."""
+    return check_rows(prob_map[y, x], lambda i: f"pixel (u={x[i]}, v={y[i]})")
 
 
 def _bilinear(prob_map: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

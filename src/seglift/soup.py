@@ -76,7 +76,7 @@ def _load_vectors(paths) -> np.ndarray:
     vectors = []
     length = None
     for path in paths:
-        vec = io.read_tensor(path)
+        vec = io.read_tensor(path, dtype=np.float32)
         if vec.ndim != 1:
             raise LengthMismatch(f"{path}: weight vector must be 1-D, got shape {vec.shape}")
         if length is None:
@@ -87,7 +87,7 @@ def _load_vectors(paths) -> np.ndarray:
     return np.stack(vectors)
 
 
-def greedy_soup(candidate_paths, evaluator, workdir=None) -> SoupResult:
+def greedy_soup(candidate_paths, evaluator) -> SoupResult:
     """Greedily average candidate weight vectors; see module docstring.
 
     `evaluator` is either the external metric command (a sequence of argv
@@ -111,7 +111,7 @@ def greedy_soup(candidate_paths, evaluator, workdir=None) -> SoupResult:
     current_metric = solo[order[0]]
     steps.append(SoupStep(paths[order[0]], solo[order[0]], "seed", current_metric))
 
-    with tempfile.TemporaryDirectory(dir=workdir, prefix="soup.") as tmp:
+    with tempfile.TemporaryDirectory(prefix="soup.") as tmp:
         trial_path = Path(tmp) / "trial.ptns"
         for i in order[1:]:
             trial = vectors[included + [i]].mean(axis=0)

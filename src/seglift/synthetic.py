@@ -342,18 +342,17 @@ def default_class_map() -> ClassMap:
 
 
 def generate_corpus(out_dir, num_scenes: int, seed: int,
-                    error_rate_border: float, error_rate_body: float,
-                    sequence: str = "00") -> list[Path]:
+                    error_rate_border: float, error_rate_body: float) -> list[Path]:
     """Write a synthetic corpus in the standard dataset layout.
 
-    Produces sequences/<seq>/{velodyne,labels,probs_2d,scene_specs} plus
+    Produces sequences/00/{velodyne,labels,probs_2d,scene_specs} plus
     calib.txt and a class_map.csv at the root; file contents depend only
     on (seed, rates, num_scenes).  Returns the written frame stems.
     """
     from . import io as seglift_io
 
     out_dir = Path(out_dir)
-    seq_dir = out_dir / "sequences" / sequence
+    seq_dir = out_dir / "sequences" / "00"
     seglift_io.write_class_map(default_class_map(), out_dir / "class_map.csv")
 
     frames = []

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IGNORE_ID
-from .errors import EmptyHistogram, NonFiniteValue, SizeMismatch, UnknownClassError
+from .errors import (EmptyHistogram, NonFiniteValue, NotADistribution, SizeMismatch,
+                     UnknownClassError)
 
 THRESHOLD_MODES = ("static", "class_balanced")
 
@@ -90,7 +91,8 @@ def apply_threshold(labels: np.ndarray, confidences: np.ndarray, thresholds: np.
     threshold is kept.  Returns (labels, reduction) where reduction is the
     removed fraction of points that carried a label before the cut.
     Raises NonFiniteValue on a NaN or infinite confidence: NaN compares
-    false with every threshold, so its label would silently survive.
+    false with every threshold, so its label would silently survive.  A
+    finite confidence outside [0, 1] raises NotADistribution.
     """
     labels = np.asarray(labels)
     confidences = np.asarray(confidences, dtype=np.float64)
@@ -100,6 +102,9 @@ def apply_threshold(labels: np.ndarray, confidences: np.ndarray, thresholds: np.
     if not np.isfinite(confidences).all():
         bad = int(np.flatnonzero(~np.isfinite(confidences))[0])
         raise NonFiniteValue(f"confidence {confidences[bad]} at point {bad} is not finite")
+    if confidences.size and not 0.0 <= confidences.min() <= confidences.max() <= 1.0:
+        bad = int(np.flatnonzero((confidences < 0.0) | (confidences > 1.0))[0])
+        raise NotADistribution(f"confidence {confidences[bad]} at point {bad} is outside [0, 1]")
     if labels.size and int(labels.max()) >= thresholds.shape[0]:
         raise UnknownClassError(
             f"label {int(labels.max())} outside {thresholds.shape[0]} thresholds"

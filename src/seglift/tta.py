@@ -58,10 +58,9 @@ def default_variants() -> tuple[TtaVariant, ...]:
     return tuple(variants)
 
 
-def emit_variants(cloud: PointCloud, variants=None):
-    """Apply every variant; returns (clouds, manifest)."""
-    if variants is None:
-        variants = default_variants()
+def emit_variants(cloud: PointCloud):
+    """Apply every default variant; returns (clouds, manifest)."""
+    variants = default_variants()
     clouds = [v.apply(cloud) for v in variants]
     manifest = [v.manifest_entry() for v in variants]
     return clouds, manifest

@@ -610,7 +610,8 @@ class TestFilesThatDoNotFit:
     config error."""
 
     # Row -> the file's new contents: the right shape and the wrong dtype (or,
-    # for a mask, entries other than 0 and 1), each of which a shape check passes.
+    # for a mask, entries other than 0 and 1; for probability rows and
+    # confidences, values five times too large), each of which a shape check passes.
     RETYPED = {
         "refine-fov-mask:float32": lambda mask: mask * np.float32(0.5),
         "refine-fov-mask:uint32": lambda mask: mask * np.uint32(7),
@@ -621,6 +622,9 @@ class TestFilesThatDoNotFit:
         "eval-masks:float32": lambda mask: mask * np.float32(0.5),
         "eval-masks:uint32": lambda mask: mask * np.uint32(7),
         "threshold-confidences:uint8": lambda conf: (conf * 255).astype(np.uint8),
+        "tta-aggregate-variant:uint32": lambda v: (v * 28).astype(np.uint32),
+        "refine-probs-3d:times-five": lambda p: p * np.float32(5),
+        "threshold-confidences:times-five": lambda conf: conf * np.float32(5),
     }
 
     @pytest.mark.parametrize("row", [
@@ -803,14 +807,14 @@ class TestKnnGraphReuse:
             inside = np.flatnonzero(io.read_tensor(seq / "fov_mask" / "000000.ptns"))[0]
             cloud.xyz[inside] += 1e-3
             io.write_cloud_bin(cloud, velo)
-        else:  # one more point in view, with a zero probs_3d row
+        else:  # one more point in view, with a copy of the first probs_3d row
             mask_path, rows_path = seq / "fov_mask" / "000000.ptns", seq / "probs_3d" / "000000.ptns"
             mask = io.read_tensor(mask_path)
             point = np.flatnonzero(mask == 0)[0]
             mask[point] = 1
             io.write_tensor(mask, mask_path)
-            io.write_tensor(np.insert(io.read_tensor(rows_path), mask[:point].sum(), 0.0, axis=0),
-                            rows_path)
+            rows = io.read_tensor(rows_path)
+            io.write_tensor(np.insert(rows, mask[:point].sum(), rows[0], axis=0), rows_path)
         del searches[:]
         shutil.copytree(out, fresh)
         shutil.rmtree(fresh / "sequences" / "00" / "knn")

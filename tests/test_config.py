@@ -98,6 +98,12 @@ class TestReadConfig:
         with pytest.raises(ConfigError):
             read_config(path)
 
+    def test_non_utf8_file_names_it(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match=f"{path}: invalid JSON"):
+            read_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             read_config(tmp_path / "none.json")

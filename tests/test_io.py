@@ -223,6 +223,15 @@ class TestTensor:
         with pytest.raises(SizeMismatch):
             io.read_tensor(path)
 
+    def test_dtype_is_checked_before_the_size(self, tmp_path):
+        path = tmp_path / "t.ptns"
+        io.write_tensor(np.zeros((4, 4), dtype=np.uint32), path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(DimMismatch, match=re.escape(f"{path}: uint32 tensor, expected float32")):
+            io.read_tensor(path, dtype=np.float32)
+        with pytest.raises(SizeMismatch):
+            io.read_tensor(path, dtype=np.uint32)
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "t.ptns"
         path.write_bytes(b"PTNS\x01")
@@ -383,16 +392,20 @@ def fits(dims, shape):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(blob=_FUZZ_BLOBS,
        shape=st.none() | st.lists(st.none() | st.integers(0, 4), max_size=3).map(tuple),
-       count=st.none() | st.integers(0, 80))
-@example(blob=ptns_like(0, [0] * 70, b""), shape=None, count=None)  # more dims than numpy allows
-@example(blob=ptns_like(2, [2, 1], b"\x00" * 8), shape=(2, None), count=4)  # both fit
-@example(blob=ptns_like(2, [2, 1], b"\x00" * 8), shape=(2, 2), count=3)  # neither fits
-@example(blob=ptns_like(2, [2, 1], b"\x00" * 8), shape=(2,), count=None)  # too few dims
-def test_readers_return_valid_results_or_typed_errors(tmp_path, blob, shape, count):
+       count=st.none() | st.integers(0, 80),
+       dtype=st.none() | st.sampled_from([np.float32, np.uint8, np.uint32]))
+@example(blob=ptns_like(0, [0] * 70, b""), shape=None, count=None, dtype=None)  # too many dims
+@example(blob=ptns_like(2, [2, 1], b"\x00" * 8), shape=(2, None), count=4,
+         dtype=np.uint32)  # all fit
+@example(blob=ptns_like(2, [2, 1], b"\x00" * 8), shape=(2, 2), count=3,
+         dtype=np.float32)  # none fits
+@example(blob=ptns_like(2, [2, 1], b"\x00" * 8), shape=(2,), count=None,
+         dtype=None)  # too few dims
+def test_readers_return_valid_results_or_typed_errors(tmp_path, blob, shape, count, dtype):
     """Arbitrary bytes either read back as a valid artifact or raise a ToolkitError.
 
-    A read given an expected `shape` or `count` returns exactly that, or
-    raises a ToolkitError when the plain read fails or does not fit.
+    A read given an expected `shape`, `dtype` or `count` returns exactly
+    that, or raises a ToolkitError when the plain read fails or does not fit.
     """
     path = tmp_path / "blob"
     path.write_bytes(blob)
@@ -407,23 +420,24 @@ def test_readers_return_valid_results_or_typed_errors(tmp_path, blob, shape, cou
         assert again.read_bytes() == blob
 
     try:
-        fitted = io.read_tensor(path, shape=shape)
+        fitted = io.read_tensor(path, shape=shape, dtype=dtype)
     except ToolkitError:
-        assert arr is None or not fits(arr.shape, shape)
+        assert arr is None or not fits(arr.shape, shape) or arr.dtype != (dtype or arr.dtype)
     else:
-        assert fits(fitted.shape, shape)
+        assert fits(fitted.shape, shape) and fitted.dtype == (dtype or fitted.dtype)
         assert arr is not None and fitted.dtype == arr.dtype and fitted.shape == arr.shape
         assert fitted.tobytes() == arr.tobytes()
 
     try:  # a mapped read fails exactly as the plain one does, or equals it
-        mapped = io.read_tensor(path, shape=shape, mmap=True)
+        mapped = io.read_tensor(path, shape=shape, dtype=dtype, mmap=True)
     except ToolkitError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            io.read_tensor(path, shape=shape)
+            io.read_tensor(path, shape=shape, dtype=dtype)
     else:
         assert isinstance(mapped, np.memmap) and not mapped.flags.writeable
         assert arr is not None and mapped.dtype == arr.dtype and mapped.shape == arr.shape
         assert mapped.tobytes() == arr.tobytes() and fits(mapped.shape, shape)
+        assert mapped.dtype == (dtype or arr.dtype)
         del mapped  # unmap before the file is rewritten
 
     try:

@@ -1,5 +1,6 @@
 """Greedy weight-soup behavior against scripted external metrics."""
 
+import re
 import sys
 import textwrap
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from seglift import io
-from seglift.errors import EvalCommandFailed, LengthMismatch
+from seglift.errors import DimMismatch, EvalCommandFailed, LengthMismatch
 from seglift.soup import evaluate_weights, greedy_soup
 
 EVAL_SCRIPT = textwrap.dedent(
@@ -111,6 +112,12 @@ class TestGreedySoup:
         io.write_tensor(np.zeros((2, 2), dtype=np.float32), p)
         with pytest.raises(LengthMismatch):
             greedy_soup([p], abs_cmd(eval_script))
+
+    def test_uint32_candidate_names_its_file(self, tmp_path, eval_script):
+        paths = write_candidates(tmp_path, [[0.0, 1.0], [1.0, 0.0]])
+        io.write_tensor(np.array([7, 7], dtype=np.uint32), paths[1])
+        with pytest.raises(DimMismatch, match=re.escape(f"{paths[1]}: uint32 tensor, expected float32")):
+            greedy_soup(paths, abs_cmd(eval_script))
 
     def test_no_candidates_rejected(self, eval_script):
         with pytest.raises(ValueError):

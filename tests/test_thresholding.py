@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import class_thresholds_scalar
-from seglift.errors import EmptyHistogram, NonFiniteValue, SizeMismatch, UnknownClassError
+from seglift.errors import (EmptyHistogram, NonFiniteValue, NotADistribution, SizeMismatch,
+                           UnknownClassError)
 from seglift.thresholding import (
     ThresholdConfig,
     apply_threshold,
@@ -156,6 +157,11 @@ class TestApplyThreshold:
     def test_non_finite_confidence_rejected(self, bad):
         with pytest.raises(NonFiniteValue):
             apply_threshold(np.array([1, 2]), np.array([bad, 0.5]), np.full(3, 0.9))
+
+    @pytest.mark.parametrize("bad", [-0.5, 1.5])
+    def test_confidence_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(NotADistribution, match=f"confidence {bad} at point 1"):
+            apply_threshold(np.array([1, 2]), np.array([0.5, bad]), np.full(3, 0.9))
 
     def test_raising_tau_min_never_reduces_removal(self):
         rng = np.random.default_rng(5)
