@@ -199,13 +199,13 @@ def _read_mask(path: Path, n: int) -> FovMask:
     return FovMask(mask.view(bool))
 
 
-def _neighborhood(scan: Scan, points: np.ndarray, k: int, include_self: bool, with_dist: bool):
-    """The exact K-neighbor graph of the scan's (M, 3) in-view `points`, as (idx, dist).
+def _neighborhood(scan: Scan, points: np.ndarray, k: int, include_self: bool) -> np.ndarray:
+    """The exact k-neighbor graph of the scan's (M, 3) in-view `points`, read from knn/.
 
     Graphs are kept in knn/<stem>/ under a digest of the points, k,
-    include_self and KNN_FORMAT, so a lookup is one stat.  A hit imports
-    no scipy and rebuilds `dist` only when `with_dist` (else None).  A
-    miss searches the points, stores the graph and prunes the older ones.
+    include_self and KNN_FORMAT, so a lookup is one stat.  A miss searches
+    the points, stores the graph and prunes the older ones; a hit imports
+    no scipy.  Either way the votes get the stored uint32 (M, k) file, checked.
     """
     import hashlib  # only refinement needs it; it costs every command ~6 ms to import
 
@@ -213,16 +213,14 @@ def _neighborhood(scan: Scan, points: np.ndarray, k: int, include_self: bool, wi
     key.update(points)  # the contiguous buffer itself, without a copy
     key.update(f"k={k},include_self={include_self}".encode())
     path = scan.out / D_KNN / scan.stem / f"{key.hexdigest()}.ptns"
-    if path.is_file():
-        m = len(points)
-        idx = io.read_tensor(path, (m, k), np.uint32)
-        if idx.max() >= m:
-            raise FormatError(f"{path}: neighbor {idx.max()} outside {m} indexed points")
-        return idx, graph_distances(points, idx) if with_dist else None
-    idx, dist = build_tree(points).neighbors(k, include_self)
-    io.write_tensor(idx.astype(np.uint32), path)
-    _prune_graphs(scan, keep=path)
-    return idx, dist
+    if not path.is_file():
+        io.write_tensor(build_tree(points).neighbors(k, include_self)[0].astype(np.uint32), path)
+        _prune_graphs(scan, keep=path)
+    m = len(points)
+    idx = io.read_tensor(path, (m, k), np.uint32)
+    if idx.max() >= m:
+        raise FormatError(f"{path}: neighbor {idx.max()} outside {m} indexed points")
+    return idx
 
 
 def _refine(cfg: PipelineConfig, scan: Scan, cloud, rows: np.ndarray, mask: FovMask) -> np.ndarray:
@@ -241,12 +239,11 @@ def _refine(cfg: PipelineConfig, scan: Scan, cloud, rows: np.ndarray, mask: FovM
         if k % 2 == 0:
             k -= 1
         points = np.ascontiguousarray(cloud.xyz[mask.index_map], dtype=np.float64)
-        idx, dist = _neighborhood(scan, points, k, ref.include_self,
-                                  with_dist=ref.scheme == "distance_weighted")
+        idx = _neighborhood(scan, points, k, ref.include_self)
         if ref.scheme == "majority":
             winners = refine_majority(rows, idx, ref.tie_break)
         elif ref.scheme == "distance_weighted":
-            winners = refine_distance_weighted(rows, idx, dist)
+            winners = refine_distance_weighted(rows, idx, graph_distances(points, idx))
         else:  # the confidence is read from the averaged rows
             winners, rows = refine_confidence_avg(rows, idx)
         labels[mask.index_map] = winners
@@ -308,9 +305,11 @@ def _tta_emit(_, scan: Scan) -> None:
 def _tta_aggregate(subdir: str, scan: Scan) -> None:
     from . import tta
 
-    first, *rest = scan.variants(subdir)
-    tensors = [io.read_tensor(first, dtype=np.float32)]
-    tensors += [io.read_tensor(path, tensors[0].shape, np.float32) for path in rest]
+    tensors = []
+    for path in scan.variants(subdir):  # each of _v00's shape, with probability rows
+        shape = tensors[0].shape if tensors else (None, None)
+        tensors.append(check_rows(io.read_tensor(path, shape, np.float32),
+                                  lambda i: f"{path}: row {i}"))
     io.write_tensor(tta.aggregate_tta(tensors), scan.output(D_AGG))
 
 
@@ -480,15 +479,15 @@ def cmd_eval(args) -> int:
     stems = sorted(p.stem for p in gt_dir.glob("*.label"))
     if not stems:
         raise ConfigError(f"{gt_dir}: no .label files")
-    matrices = []
+    total = ConfusionMatrix(class_map.num_classes)
     for stem in stems:
         gt, _ = io.read_labels(gt_dir / f"{stem}.label", class_map=class_map, remap=remap)
         pred, _ = io.read_labels(pred_dir / f"{stem}.label", class_map=class_map, count=len(gt))
         mask = None
         if args.masks:
             mask = _read_mask(Path(args.masks) / f"{stem}.ptns", len(gt))
-        matrices.append(ConfusionMatrix(class_map.num_classes).update(gt, pred, mask))
-    result = report(matrices, class_map)
+        total.merge(ConfusionMatrix(class_map.num_classes).update(gt, pred, mask))
+    result = report([total], class_map)
     print(result.to_text())
     if args.out:
         with io.atomic_write(args.out) as fh:

@@ -24,7 +24,7 @@ class ConfusionMatrix:
         self.num_classes = num_classes
         if counts is None:
             counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = np.array(counts, dtype=np.int64)  # a copy: updates never reach the caller's array
         if counts.shape != (num_classes, num_classes):
             raise ValueError(f"counts must be ({num_classes}, {num_classes})")
         self.counts = counts
@@ -54,9 +54,6 @@ class ConfusionMatrix:
             raise SizeMismatch("cannot merge matrices of different class counts")
         self.counts += other.counts
         return self
-
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(self.num_classes, self.counts).merge(other)
 
     @property
     def total(self) -> int:

@@ -495,7 +495,7 @@ class TestExitCodes:
             variants = data / "sequences" / "00" / "tta"
             for stem in ("000000", "000001"):
                 for i in range(12):
-                    io.write_tensor(np.full((4, 3), 0.25, np.float32),
+                    io.write_tensor(np.full((4, 4), 0.25, np.float32),
                                     variants / f"{stem}_v{i:02d}.ptns")
             missing = variants / "000001_v05.ptns"
         missing.unlink()
@@ -623,6 +623,7 @@ class TestFilesThatDoNotFit:
         "eval-masks:uint32": lambda mask: mask * np.uint32(7),
         "threshold-confidences:uint8": lambda conf: (conf * 255).astype(np.uint8),
         "tta-aggregate-variant:uint32": lambda v: (v * 28).astype(np.uint32),
+        "tta-aggregate-variant:times-five": lambda v: v * np.float32(5),
         "refine-probs-3d:times-five": lambda p: p * np.float32(5),
         "threshold-confidences:times-five": lambda conf: conf * np.float32(5),
     }
@@ -666,7 +667,7 @@ class TestFilesThatDoNotFit:
         if row.startswith("tta"):
             for stem in ("000000", "000001"):
                 for i in range(12):
-                    io.write_tensor(np.full((4, 3), 0.25, np.float32),
+                    io.write_tensor(np.full((4, 4), 0.25, np.float32),
                                     src / "tta" / f"{stem}_v{i:02d}.ptns")
         if row in self.RETYPED:
             io.write_tensor(self.RETYPED[row](io.read_tensor(path)), path)
@@ -785,6 +786,28 @@ class TestKnnGraphReuse:
         assert len(searches) == 4  # the second refine of `hit` searched nothing
         assert graphs(miss) == graphs(hit) and len(graphs(hit)) == 2
         assert tree_digest(miss) == tree_digest(hit)
+
+    def test_a_miss_votes_over_the_stored_graph(self, corpus, lifted, tmp_path, monkeypatch):
+        # Graphs written under knn/ list each point as all k of its own neighbors,
+        # so majority votes over the stored file return each row's own argmax.
+        write = io.write_tensor
+
+        def self_only(tensor, path, *args, **kwargs):
+            if "knn" in Path(path).parts:
+                tensor = np.repeat(np.arange(len(tensor), dtype=tensor.dtype)[:, None],
+                                   tensor.shape[1], axis=1)
+            return write(tensor, path, *args, **kwargs)
+
+        monkeypatch.setattr(io, "write_tensor", self_only)
+        out = tmp_path / "out"
+        shutil.copytree(lifted, out)
+        assert self.refine(corpus, out, "--scheme", "majority") == 0
+        seq = out / "sequences" / "00"
+        for stem in ("000000", "000001"):
+            mask = io.read_tensor(seq / "fov_mask" / f"{stem}.ptns").view(bool)
+            rows = io.read_tensor(seq / "probs_3d" / f"{stem}.ptns")
+            labels, _ = io.read_labels(seq / "refined_labels" / f"{stem}.label")
+            np.testing.assert_array_equal(labels[mask], rows.argmax(axis=1))
 
     @pytest.mark.parametrize("change", ["k", "include_self", "one point", "fov mask"])
     def test_a_changed_key_forces_a_search(self, corpus, lifted, tmp_path, searches, change):

@@ -41,8 +41,14 @@ class TestAccumulate:
         gt = rng.integers(0, 4, 500).astype(np.uint16)
         pred = rng.integers(0, 4, 500).astype(np.uint16)
         whole = accumulate(gt, pred, 4)
-        parts = accumulate(gt[:200], pred[:200], 4) + accumulate(gt[200:], pred[200:], 4)
+        parts = accumulate(gt[:200], pred[:200], 4).merge(accumulate(gt[200:], pred[200:], 4))
         np.testing.assert_array_equal(whole.counts, parts.counts)
+
+    def test_updates_leave_the_given_counts_alone(self):
+        counts = np.arange(9, dtype=np.int64).reshape(3, 3)
+        m = ConfusionMatrix(3, counts).update(arr(1, 2), arr(2, 2))
+        np.testing.assert_array_equal(counts, np.arange(9).reshape(3, 3))
+        assert m.counts[1, 2] == counts[1, 2] + 1 and m.counts[2, 2] == counts[2, 2] + 1
 
 
 class TestIou:
