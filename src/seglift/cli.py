@@ -37,7 +37,7 @@ from . import io
 from .config import REFINEMENT_SCHEMES, PipelineConfig, read_config
 from .core import IGNORE_ID, ClassMap
 from .errors import (ConfigError, DimMismatch, FormatError, NonFiniteValue, NotADistribution,
-                     ToolkitError, UnknownClassError)
+                     ToolkitError)
 from .evaluation import ConfusionMatrix, report
 from .projection import FovMask, check_rows, lift_probs, merge_lifted, slice_cloud
 from .refinement import (build_tree, graph_distances, refine_confidence_avg,
@@ -223,8 +223,8 @@ def _neighborhood(scan: Scan, points: np.ndarray, k: int, include_self: bool) ->
     return idx
 
 
-def _refine(cfg: PipelineConfig, scan: Scan, cloud, rows: np.ndarray, mask: FovMask) -> np.ndarray:
-    """Refine one scan's in-view rows; write its labels and confidences, return the label counts."""
+def _refine(cfg: PipelineConfig, scan: Scan, cloud, rows: np.ndarray, mask: FovMask) -> None:
+    """Refine one scan's in-view rows; write its labels and confidences."""
     ref = cfg.refinement
     labels = np.full(len(cloud), IGNORE_ID, dtype=np.uint16)
     conf = np.zeros(len(cloud), dtype=np.float32)
@@ -250,24 +250,23 @@ def _refine(cfg: PipelineConfig, scan: Scan, cloud, rows: np.ndarray, mask: FovM
         conf[mask.index_map] = rows.max(axis=1)
     io.write_labels(labels, scan.output(D_REFINED, ".label"))
     io.write_tensor(conf, scan.output(D_CONF))
-    return np.bincount(labels)
 
 
 def _lift_only(cfg: PipelineConfig, scan: Scan) -> None:
     _lift(cfg, scan)
 
 
-def _refine_stored(cfg: PipelineConfig, scan: Scan) -> np.ndarray:
+def _refine_stored(cfg: PipelineConfig, scan: Scan) -> None:
     cloud = io.read_cloud_bin(scan.cloud)
     mask = _read_mask(scan.output(D_MASK), len(cloud))
     path = scan.output(D_PROBS3D)
     rows = check_rows(io.read_tensor(path, (mask.count, None), np.float32),
                       lambda i: f"{path}: row {i}")
-    return _refine(cfg, scan, cloud, rows, mask)
+    _refine(cfg, scan, cloud, rows, mask)
 
 
-def _lift_refine(cfg: PipelineConfig, scan: Scan) -> np.ndarray:
-    return _refine(cfg, scan, *_lift(cfg, scan))
+def _lift_refine(cfg: PipelineConfig, scan: Scan) -> None:
+    _refine(cfg, scan, *_lift(cfg, scan))
 
 
 def _cut(class_map: ClassMap, thresholds: np.ndarray, scan: Scan):
@@ -339,39 +338,29 @@ def _lift_inputs(cfg: PipelineConfig) -> list[Scan]:
     return scans
 
 
-def _write_histogram(out_root, counts: np.ndarray) -> None:
+def _stats(out_root, scans: list[Scan], class_map: ClassMap) -> None:
+    """Write histogram.csv: the class counts of the refined labels of `scans`."""
+    labels = (io.read_labels(s.output(D_REFINED, ".label"), class_map=class_map)[0] for s in scans)
+    counts = histogram(labels, class_map.num_classes)
     with io.atomic_write(Path(out_root) / "histogram.csv") as fh:
         fh.write("".join(f"{i},{int(c)}\n" for i, c in enumerate(counts)).encode())
     print(f"stats: histogram over {int(counts.sum())} labels -> histogram.csv")
 
 
-def _class_counts(scans: list[Scan], counts: list[np.ndarray], num_classes: int) -> np.ndarray:
-    """Sum per-scan label counts; a label outside the class map names its scan."""
-    total = np.zeros(num_classes, dtype=np.int64)
-    for scan, c in zip(scans, counts):
-        if c.size > num_classes:
-            raise UnknownClassError(f"{scan.output(D_REFINED, '.label')}: class {c.size - 1} "
-                                    f"outside map of {num_classes} classes")
-        total[:c.size] += c
-    return total
-
-
-def _threshold(cfg: PipelineConfig, scans: list[Scan], class_map: ClassMap, counts=None) -> None:
+def _threshold(cfg: PipelineConfig, scans: list[Scan], class_map: ClassMap) -> None:
     """Cut the refined labels of `scans`; write thresholds.csv and reduction.csv.
 
-    Class-balanced mode uses the corpus `counts`, read from histogram.csv when not given.
+    Class-balanced mode reads the corpus counts from histogram.csv.
     """
     out_root = Path(cfg.output_root)
     tcfg = cfg.threshold
     if tcfg.mode == "static":
         thresholds = static_thresholds(tcfg, class_map.num_classes)
     else:
-        if counts is None:
-            hist_path = out_root / "histogram.csv"
-            if not hist_path.exists():
-                raise ConfigError(f"{hist_path}: run `seglift stats` first (class-balanced mode)")
-            counts = _read_histogram_csv(hist_path, class_map.num_classes)
-        thresholds = class_thresholds(counts, tcfg)
+        hist_path = out_root / "histogram.csv"
+        if not hist_path.exists():
+            raise ConfigError(f"{hist_path}: run `seglift stats` first (class-balanced mode)")
+        thresholds = class_thresholds(_read_histogram_csv(hist_path, class_map.num_classes), tcfg)
     with io.atomic_write(out_root / "thresholds.csv") as fh:
         fh.write("".join(f"{i},{t:.12f}\n" for i, t in enumerate(thresholds)).encode())
 
@@ -449,8 +438,7 @@ def cmd_stats(args) -> int:
     cfg = _config(args, "output_root", "class_map")
     class_map = io.read_class_map(cfg.class_map)
     scans = _scans(cfg.output_root, cfg.output_root, D_REFINED, ".label")
-    labels = (io.read_labels(s.output(D_REFINED, ".label"), class_map=class_map)[0] for s in scans)
-    _write_histogram(cfg.output_root, histogram(labels, class_map.num_classes))
+    _stats(cfg.output_root, scans, class_map)
     return 0
 
 
@@ -487,7 +475,7 @@ def cmd_eval(args) -> int:
         if args.masks:
             mask = _read_mask(Path(args.masks) / f"{stem}.ptns", len(gt))
         total.merge(ConfusionMatrix(class_map.num_classes).update(gt, pred, mask))
-    result = report([total], class_map)
+    result = report(total, class_map)
     print(result.to_text())
     if args.out:
         with io.atomic_write(args.out) as fh:
@@ -541,16 +529,16 @@ def cmd_soup(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    """Lift and refine each scan in one pass, then cut the run's own scans."""
+    """Lift and refine each scan in one pass, then count and cut the run's own scans."""
     cfg = _config(args, "dataset_root", "output_root", "class_map")
     class_map = io.read_class_map(cfg.class_map)
     scans = _lift_inputs(cfg)
-    counts = _class_counts(scans, _run(_lift_refine, cfg, scans, cfg.jobs), class_map.num_classes)
+    _run(_lift_refine, cfg, scans, cfg.jobs)
     print(f"lift: {len(scans)} scans -> {cfg.output_root}")
     print(f"refine[{cfg.refinement.scheme}, k={cfg.refinement.k}]: {len(scans)} scans")
     if cfg.threshold.mode == "class_balanced":
-        _write_histogram(cfg.output_root, counts)
-    _threshold(cfg, scans, class_map, counts)
+        _stats(cfg.output_root, scans, class_map)
+    _threshold(cfg, scans, class_map)
     print(f"pipeline: pseudo-labels in {cfg.output_root}")
     return 0
 

@@ -105,20 +105,6 @@ class RigidTransform:
         rt = self.rotation.T
         return RigidTransform(rt, -(rt @ self.translation))
 
-    def matrix(self) -> np.ndarray:
-        """4x4 homogeneous form with bottom row (0, 0, 0, 1)."""
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "RigidTransform":
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != (4, 4) or not np.allclose(m[3], [0, 0, 0, 1], atol=1e-12):
-            raise ValueError("expected a 4x4 homogeneous matrix with bottom row (0,0,0,1)")
-        return cls(m[:3, :3], m[:3, 3])
-
 
 @dataclass(frozen=True)
 class CalibrationRig:

@@ -88,16 +88,10 @@ def iou(matrix: ConfusionMatrix):
     return per_class, float(per_class[included].mean())
 
 
-def report(matrices, class_map: ClassMap) -> "Report":
-    """Aggregate scan matrices into one dataset-level report."""
-    matrices = list(matrices)
-    if not matrices:
-        raise EmptyMatrix("need at least one confusion matrix")
-    total = ConfusionMatrix(matrices[0].num_classes)
-    for m in matrices:
-        total.merge(m)
-    per_class, miou = iou(total)
-    return Report(per_class=per_class, miou=miou, class_map=class_map, matrix=total)
+def report(matrix: ConfusionMatrix, class_map: ClassMap) -> "Report":
+    """Score one dataset-level matrix: the sum of its scans' matrices."""
+    per_class, miou = iou(matrix)
+    return Report(per_class=per_class, miou=miou, class_map=class_map, matrix=matrix)
 
 
 class Report:

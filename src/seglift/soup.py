@@ -11,7 +11,6 @@ scalar (higher is better); this toolkit never runs models in-process.
 
 from __future__ import annotations
 
-import functools
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
@@ -87,21 +86,16 @@ def _load_vectors(paths) -> np.ndarray:
     return np.stack(vectors)
 
 
-def greedy_soup(candidate_paths, evaluator) -> SoupResult:
+def greedy_soup(candidate_paths, evaluate) -> SoupResult:
     """Greedily average candidate weight vectors; see module docstring.
 
-    `evaluator` is either the external metric command (a sequence of argv
-    strings, invoked with the weight-file path appended) or a callable
-    taking a weight-file path and returning the scalar metric directly.
+    `evaluate` takes a weight-file path and returns the scalar metric, for
+    example ``functools.partial(evaluate_weights, eval_command)``.
     """
     paths = [str(p) for p in candidate_paths]
     if not paths:
         raise ValueError("need at least one candidate")
     vectors = _load_vectors(paths)
-    if callable(evaluator):
-        evaluate = evaluator
-    else:
-        evaluate = functools.partial(evaluate_weights, evaluator)
 
     solo = [evaluate(p) for p in paths]
     order = sorted(range(len(paths)), key=lambda i: -solo[i])

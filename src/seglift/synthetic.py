@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CalibrationRig, ClassMap, PointCloud
-from .errors import DegenerateSpec, ParseError
+from .errors import DegenerateSpec
 from .projection import _in_view, project_points
 
 DEFAULT_CLASS_NAMES = ("unlabeled", "road", "building", "car", "pole")
@@ -105,29 +105,6 @@ class SceneSpec:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SceneSpec":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"scene spec: {exc}") from exc
-        try:
-            return cls(
-                seed=raw["seed"],
-                ground_extent=raw.get("ground_extent", 25.0),
-                ground_z=raw.get("ground_z", -1.7),
-                ground_class=raw.get("ground_class", 1),
-                boxes=tuple(Box(b["class_id"], tuple(b["center"]), tuple(b["size"]))
-                            for b in raw.get("boxes", ())),
-                cylinders=tuple(Cylinder(c["class_id"], tuple(c["center"]), c["radius"],
-                                         c["height"], c["base_z"])
-                                for c in raw.get("cylinders", ())),
-                lidar=LidarSpec(**raw.get("lidar", {})),
-                camera=CameraSpec(**raw.get("camera", {})),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"scene spec: bad or missing field ({exc})") from exc
 
 
 @dataclass

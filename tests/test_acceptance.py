@@ -11,6 +11,7 @@ reproducible here and are not asserted; mechanism-level properties
 import hashlib
 import sys
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from seglift.refinement import (
     refine_distance_weighted,
     refine_majority,
 )
-from seglift.soup import greedy_soup
+from seglift.soup import evaluate_weights, greedy_soup
 from seglift.synthetic import generate_corpus
 from seglift.thresholding import (
     ThresholdConfig,
@@ -277,7 +278,7 @@ def test_criterion_6_evaluation_correctness():
         assert perfect == 1.0
 
         m = accumulate(gt, pred, 3)
-        assert report([m, m], cm).miou == report([m], cm).miou
+        assert report(ConfusionMatrix(3, m.counts).merge(m), cm).miou == report(m, cm).miou
 
 
 def test_criterion_7_greedy_soup(tmp_path):
@@ -298,7 +299,7 @@ def test_criterion_7_greedy_soup(tmp_path):
             path = tmp_path / f"cand{i}.ptns"
             io.write_tensor(np.array([value], dtype=np.float32), path)
             paths.append(path)
-        result = greedy_soup(paths, [sys.executable, str(script)])
+        result = greedy_soup(paths, partial(evaluate_weights, [sys.executable, str(script)]))
         np.testing.assert_array_equal(result.vector, np.array([0.5], np.float32))
         assert result.included == [str(paths[0]), str(paths[1])]
         assert [s.action for s in result.steps] == ["seed", "added", "rejected"]

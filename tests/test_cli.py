@@ -483,13 +483,20 @@ class TestExitCodes:
         assert str(missing) in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["slice", "tta aggregate"])
+    @pytest.mark.parametrize("command", ["slice", "tta aggregate", "refine:probs_3d",
+                                         "refine:fov_mask", "lift:calib"])
     def test_missing_input_fails_before_any_write(self, corpus, tmp_path, capsys, command):
         out = tmp_path / "out"
-        if command == "slice":
+        command, _, name = command.partition(":")
+        data = corpus
+        if command in ("slice", "refine"):
             assert run(["lift", "--dataset-root", corpus, "--output-root", out]) == 0
-            data = corpus
-            missing = out / "sequences" / "00" / "fov_mask" / "000001.ptns"
+            missing = out / "sequences" / "00" / (name or "fov_mask") / "000001.ptns"
+        elif command == "lift":  # a second sequence without calib.txt: lift must not do the first
+            data = tmp_path / "data"
+            shutil.copytree(corpus, data)
+            shutil.copytree(data / "sequences" / "00", data / "sequences" / "01")
+            missing = data / "sequences" / "01" / "calib.txt"
         else:
             data = tmp_path / "preds"
             variants = data / "sequences" / "00" / "tta"
@@ -503,6 +510,27 @@ class TestExitCodes:
         assert run([*command.split(), "--dataset-root", data, "--output-root", out]) == 1
         assert str(missing) in capsys.readouterr().err
         assert sorted(out.rglob("*")) == before
+
+    @pytest.mark.parametrize("mode", ["class_balanced", "static"])
+    def test_pipeline_label_outside_the_class_map_names_its_file(self, corpus, tmp_path, capsys,
+                                                                 mode):
+        class_map = tmp_path / "class_map.csv"
+        class_map.write_text("0,unlabeled\n1,road\n")  # the teacher has five classes
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threshold": {"mode": "static", "tau": 0.9}}
+                                     if mode == "static" else {}))
+        out = tmp_path / "out"
+        assert run(["pipeline", "--config", config, "--dataset-root", corpus,
+                    "--output-root", out, "--class-map", class_map]) == 1
+        captured = capsys.readouterr()
+        label = out / "sequences" / "00" / "refined_labels" / "000000.label"
+        assert f"{label}: class " in captured.err and "outside map of 2 classes" in captured.err
+        # lift and refine finished; stats and the cut stop at the first out-of-map label
+        assert captured.out.splitlines() == [
+            f"lift: 2 scans -> {out}", "refine[confidence_avg, k=19]: 2 scans"]
+        assert (out / "thresholds.csv").exists() == (mode == "static")
+        assert not (out / "histogram.csv").exists() and not (out / "reduction.csv").exists()
+        assert not (out / "sequences" / "00" / "pseudo_labels").exists()
 
     def test_non_finite_confidence_names_its_file(self, corpus, tmp_path, capsys):
         out = tmp_path / "out"

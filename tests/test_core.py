@@ -65,11 +65,6 @@ class TestRigidTransform:
         back = t.inverse().apply(t.apply(pts))
         np.testing.assert_allclose(back, pts, atol=1e-5)
 
-    def test_matrix_roundtrip(self):
-        t = RigidTransform.yaw(0.7)
-        again = RigidTransform.from_matrix(t.matrix())
-        np.testing.assert_allclose(again.rotation, t.rotation)
-
 
 class TestCalibrationRig:
     def test_valid_rig(self):

@@ -3,6 +3,7 @@
 import re
 import sys
 import textwrap
+from functools import partial
 
 import numpy as np
 import pytest
@@ -44,8 +45,13 @@ def write_candidates(tmp_path, vectors):
     return paths
 
 
+def metric(script, *args):
+    """The evaluator that runs `script` with `args` under this interpreter."""
+    return partial(evaluate_weights, [sys.executable, str(script), *map(str, args)])
+
+
 def abs_cmd(eval_script, target=0.5):
-    return [sys.executable, str(eval_script), "abs", str(target)]
+    return metric(eval_script, "abs", target)
 
 
 class TestGreedySoup:
@@ -81,7 +87,7 @@ class TestGreedySoup:
         for trial in range(5):
             vectors = [rng.uniform(-3, 3, 4) for _ in range(int(rng.integers(2, 6)))]
             paths = write_candidates(tmp_path, vectors)
-            cmd = [sys.executable, str(eval_script), "quad", "0.2"]
+            cmd = metric(eval_script, "quad", 0.2)
             result = greedy_soup(paths, cmd)
             # reference solos from the float32 values actually on disk
             best_solo = max(-((float(np.asarray(v, np.float32).mean()) - 0.2) ** 2)
@@ -98,7 +104,7 @@ class TestGreedySoup:
             print(0.0)
             """))
         paths = write_candidates(tmp_path, [[0.0], [1.0], [2.0], [3.0]])
-        greedy_soup(paths, [sys.executable, str(script)])
+        greedy_soup(paths, metric(script))
         calls = counter.read_text().strip().splitlines()
         assert len(calls) == 4 + 3  # one solo pass, then one trial per remaining
 

@@ -67,18 +67,6 @@ class TestRenderScene:
         np.testing.assert_allclose(radii, 0.3, atol=1e-6)
 
 
-class TestSceneSpecJson:
-    def test_roundtrip(self):
-        spec = random_scene_spec(11)
-        again = SceneSpec.from_json(spec.to_json())
-        assert again == spec
-
-    def test_bad_json_rejected(self):
-        from seglift.errors import ParseError
-        with pytest.raises(ParseError):
-            SceneSpec.from_json("{nope")
-
-
 class TestSimulateTeacher:
     def test_zero_noise_lifts_ground_truth_exactly(self):
         spec = random_scene_spec(21)
