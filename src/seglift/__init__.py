@@ -1,10 +1,10 @@
 """seglift: lift 2D segmentation probabilities onto LiDAR point clouds.
 
-Library surface: geometric transforms, dataset I/O, camera-model
-probability lifting, KNN label refinement, class-balanced pseudo-label
-thresholding, FOV slicing, TTA variants, greedy weight soups, and
-segmentation evaluation.  The ``seglift`` CLI chains the stages over
-datasets in the standard odometry layout.
+Library surface: dataset I/O, camera-model probability lifting, KNN label
+refinement, class-balanced pseudo-label thresholding, FOV slicing, TTA
+variants, greedy weight soups, and segmentation evaluation.  The
+``seglift`` CLI chains the stages over datasets in the standard odometry
+layout.
 """
 
 from importlib import import_module
@@ -13,7 +13,7 @@ from importlib import import_module
 # so `import seglift` loads no numpy: `python -m seglift.cli` imports this
 # package before the CLI can pin OpenBLAS's threads.
 _SUBMODULES = {
-    "core": ("IGNORE_ID", "CalibrationRig", "ClassMap", "PointCloud", "RigidTransform"),
+    "core": ("IGNORE_ID", "CalibrationRig", "ClassMap", "PointCloud"),
     "projection": ("FovMask", "fov_mask", "lift_probs", "project_points", "slice_cloud"),
     "refinement": ("KdTree", "build_tree", "refine_confidence_avg", "refine_distance_weighted",
                    "refine_majority"),

@@ -36,8 +36,8 @@ import numpy as np
 from . import io
 from .config import REFINEMENT_SCHEMES, PipelineConfig, read_config
 from .core import IGNORE_ID, ClassMap
-from .errors import (ConfigError, DimMismatch, FormatError, NonFiniteValue, NotADistribution,
-                     ToolkitError)
+from .errors import (ConfigError, DimMismatch, EmptyHistogram, EmptyMatrix, FormatError,
+                     NonFiniteValue, NotADistribution, ToolkitError)
 from .evaluation import ConfusionMatrix, report
 from .projection import FovMask, check_rows, lift_probs, merge_lifted, slice_cloud
 from .refinement import (build_tree, graph_distances, refine_confidence_avg,
@@ -296,8 +296,7 @@ def _slice(masks: str | None, scan: Scan) -> None:
 def _tta_emit(_, scan: Scan) -> None:
     from . import tta
 
-    clouds, _ = tta.emit_variants(io.read_cloud_bin(scan.cloud))
-    for i, variant_cloud in enumerate(clouds):
+    for i, variant_cloud in enumerate(tta.emit_variants(io.read_cloud_bin(scan.cloud))):
         io.write_cloud_bin(variant_cloud, scan.output(D_TTA, f"_v{i:02d}.bin"))
 
 
@@ -360,7 +359,11 @@ def _threshold(cfg: PipelineConfig, scans: list[Scan], class_map: ClassMap) -> N
         hist_path = out_root / "histogram.csv"
         if not hist_path.exists():
             raise ConfigError(f"{hist_path}: run `seglift stats` first (class-balanced mode)")
-        thresholds = class_thresholds(_read_histogram_csv(hist_path, class_map.num_classes), tcfg)
+        counts = _read_histogram_csv(hist_path, class_map.num_classes)
+        try:
+            thresholds = class_thresholds(counts, tcfg)
+        except EmptyHistogram as exc:
+            raise EmptyHistogram(f"{hist_path}: {exc}") from exc
     with io.atomic_write(out_root / "thresholds.csv") as fh:
         fh.write("".join(f"{i},{t:.12f}\n" for i, t in enumerate(thresholds)).encode())
 
@@ -391,6 +394,9 @@ def _read_histogram_csv(path: Path, num_classes: int) -> np.ndarray:
             raise ConfigError(f"{path}:{lineno}: duplicate class {i}")
         seen.add(i)
         counts[i] = n
+    missing = set(range(num_classes)) - seen
+    if missing:
+        raise ConfigError(f"{path}: no row for class {min(missing)}")
     return counts
 
 
@@ -475,7 +481,11 @@ def cmd_eval(args) -> int:
         if args.masks:
             mask = _read_mask(Path(args.masks) / f"{stem}.ptns", len(gt))
         total.merge(ConfusionMatrix(class_map.num_classes).update(gt, pred, mask))
-    result = report(total, class_map)
+    try:
+        result = report(total, class_map)
+    except EmptyMatrix as exc:
+        where = ", ".join(str(p) for p in (gt_dir, args.masks) if p)
+        raise EmptyMatrix(f"{where}: {exc}") from exc
     print(result.to_text())
     if args.out:
         with io.atomic_write(args.out) as fh:

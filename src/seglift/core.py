@@ -1,4 +1,4 @@
-"""Core containers: point clouds, rigid motions, camera rigs, class maps.
+"""Core containers: point clouds, camera rigs, class maps.
 
 Coordinates are kept in float64 internally; the on-disk float32 convention
 is applied only at the I/O boundary so that geometric round trips do not
@@ -69,41 +69,6 @@ def _check_rotation(r: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} is not orthonormal within {_ROT_TOL}")
     if abs(np.linalg.det(r) - 1.0) > _ROT_TOL:
         raise ValueError(f"{what} must have determinant +1 within {_ROT_TOL}")
-
-
-@dataclass(frozen=True)
-class RigidTransform:
-    """Proper rigid motion p' = R @ p + t (meters)."""
-
-    rotation: np.ndarray     # (3, 3), orthonormal, det +1
-    translation: np.ndarray  # (3,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=np.float64))
-        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=np.float64))
-        _check_rotation(self.rotation, "rotation")
-        if self.translation.shape != (3,):
-            raise ValueError(f"translation must be (3,), got {self.translation.shape}")
-        if not np.isfinite(self.translation).all():
-            raise ValueError("translation must be finite")
-
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
-    def yaw(cls, angle: float) -> "RigidTransform":
-        """Rotation about the z axis by `angle` radians."""
-        c, s = np.cos(angle), np.sin(angle)
-        return cls(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]), np.zeros(3))
-
-    def apply(self, xyz: np.ndarray) -> np.ndarray:
-        """Map (N, 3) coordinates through the motion."""
-        return xyz @ self.rotation.T + self.translation
-
-    def inverse(self) -> "RigidTransform":
-        rt = self.rotation.T
-        return RigidTransform(rt, -(rt @ self.translation))
 
 
 @dataclass(frozen=True)

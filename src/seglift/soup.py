@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,15 +40,7 @@ class SoupResult:
     steps: list[SoupStep] = field(default_factory=list)
 
     def log_entries(self) -> list[dict]:
-        return [
-            {
-                "path": s.path,
-                "solo_metric": s.solo_metric,
-                "action": s.action,
-                "trial_metric": s.trial_metric,
-            }
-            for s in self.steps
-        ]
+        return [asdict(s) for s in self.steps]
 
 
 def evaluate_weights(eval_command, weight_path, env=None) -> float:

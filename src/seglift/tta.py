@@ -8,14 +8,14 @@ averaged row-by-row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import transforms
 from .core import PointCloud
 from .errors import DimMismatch
 
+FLIP_AXES = ("x", "y", "xy")
 YAW_STEP_DEG = 40.0
 NUM_YAW_STEPS = 8
 
@@ -30,27 +30,33 @@ class TtaVariant:
     angle_deg: float | None = None  # yaw only
 
     def apply(self, cloud: PointCloud) -> PointCloud:
+        """The variant's cloud: a flip negates the named axes, a yaw rotates
+        about z; intensity and point order are kept."""
         if self.kind == "identity":
             return cloud
         if self.kind == "flip":
-            return transforms.flip(cloud, self.axis)
-        if self.kind == "yaw":
-            return transforms.yaw_rotate(cloud, np.deg2rad(self.angle_deg))
-        raise ValueError(f"unknown variant kind {self.kind!r}")
+            if self.axis not in FLIP_AXES:
+                raise ValueError(f"axis must be one of {FLIP_AXES}, got {self.axis!r}")
+            cols = ["xy".index(a) for a in self.axis]
+            xyz = cloud.xyz.copy()
+            xyz[:, cols] = -xyz[:, cols]
+        elif self.kind == "yaw":
+            angle = np.deg2rad(self.angle_deg)
+            c, s = np.cos(angle), np.sin(angle)
+            r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+            xyz = cloud.xyz @ r.T + 0.0  # + 0.0 writes each -0.0 as +0.0
+        else:
+            raise ValueError(f"unknown variant kind {self.kind!r}")
+        return PointCloud(xyz, cloud.intensity)
 
     def manifest_entry(self) -> dict:
-        entry = {"name": self.name, "kind": self.kind}
-        if self.axis is not None:
-            entry["axis"] = self.axis
-        if self.angle_deg is not None:
-            entry["angle_deg"] = self.angle_deg
-        return entry
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def default_variants() -> tuple[TtaVariant, ...]:
     """The 12 standard variants, identity first."""
     variants = [TtaVariant("identity", "identity")]
-    for axis in transforms.FLIP_AXES:
+    for axis in FLIP_AXES:
         variants.append(TtaVariant(f"flip_{axis}", "flip", axis=axis))
     for step in range(1, NUM_YAW_STEPS + 1):
         deg = YAW_STEP_DEG * step
@@ -58,12 +64,9 @@ def default_variants() -> tuple[TtaVariant, ...]:
     return tuple(variants)
 
 
-def emit_variants(cloud: PointCloud):
-    """Apply every default variant; returns (clouds, manifest)."""
-    variants = default_variants()
-    clouds = [v.apply(cloud) for v in variants]
-    manifest = [v.manifest_entry() for v in variants]
-    return clouds, manifest
+def emit_variants(cloud: PointCloud) -> list[PointCloud]:
+    """The cloud under every default variant, in `default_variants()` order."""
+    return [v.apply(cloud) for v in default_variants()]
 
 
 def aggregate_tta(probs_list) -> np.ndarray:

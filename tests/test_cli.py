@@ -333,6 +333,18 @@ class TestEval:
         assert run(["eval", "--gt", labels, "--pred", tmp_path,
                     "--class-map", corpus / "class_map.csv"]) == 1
 
+    def test_nothing_to_score_names_the_inputs(self, corpus, tmp_path, capsys):
+        labels = corpus / "sequences" / "00" / "labels"
+        masks = tmp_path / "masks"
+        for path in labels.glob("*.label"):
+            io.write_tensor(np.zeros(len(io.read_labels(path)[0]), np.uint8),
+                            masks / f"{path.stem}.ptns")
+        capsys.readouterr()
+        assert run(["eval", "--gt", labels, "--pred", labels, "--masks", masks,
+                    "--class-map", corpus / "class_map.csv"]) == 1
+        assert f"{labels}, {masks}: confusion matrix has no evaluated points" \
+            in capsys.readouterr().err
+
 
 class TestSlice:
     def test_slice_outputs(self, corpus, tmp_path):
@@ -608,6 +620,24 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(["threshold", *cm]) == 2
         assert f"{hist}:{lineno}: {message}" in capsys.readouterr().err
+        assert (out / "thresholds.csv").read_bytes() == thresholds
+
+    @pytest.mark.parametrize("rows, code, message", [
+        (["0,5", "1,0", "2,0"], 2, "config error: {hist}: no row for class 3"),
+        (["0,5", "1,0", "2,0", "3,0", "4,0"], 1,
+         "error: {hist}: no nonzero count outside the ignore class"),
+    ], ids=["missing-class", "all-ignore"])
+    def test_histogram_that_cannot_cut_names_its_file(self, piped, tmp_path, corpus, capsys,
+                                                       rows, code, message):
+        out = tmp_path / "out"
+        shutil.copytree(piped, out)
+        hist = out / "histogram.csv"
+        hist.write_text("\n".join(rows) + "\n")
+        thresholds = (out / "thresholds.csv").read_bytes()
+        capsys.readouterr()
+        assert run(["threshold", "--output-root", out,
+                    "--class-map", corpus / "class_map.csv"]) == code
+        assert f"seglift: {message.format(hist=hist)}" in capsys.readouterr().err
         assert (out / "thresholds.csv").read_bytes() == thresholds
 
     @pytest.mark.parametrize("subdir", ["fov_mask", "probs_3d"])
@@ -990,8 +1020,8 @@ class TestStartupImports:
     KD_TREE = "scipy.spatial._ckdtree"
     NUMPY_DEFERRED = ("numpy.f2py.crackfortran", "numpy.testing._private.utils", "numpy.ma.core")
     LAZY = (KD_TREE, "scipy.spatial", "scipy.linalg", "scipy.special", "seglift.synthetic",
-            "concurrent.futures.process", "seglift.soup", "seglift.tta", "seglift.transforms",
-            "subprocess", "shlex", "json", *NUMPY_DEFERRED)
+            "concurrent.futures.process", "seglift.soup", "seglift.tta", "subprocess", "shlex",
+            "json", *NUMPY_DEFERRED)
     SPARSE = {"subprocess"}  # scipy._lib, which the kd-tree needs, imports it
 
     def loaded(self, args):
@@ -999,6 +1029,10 @@ class TestStartupImports:
         report = fresh_main(args)
         assert report["rc"] == 0
         return set(self.LAZY) & set(report["modules"])
+
+    def test_every_lazy_name_is_a_module(self):
+        """An entry naming no module would pass without checking anything."""
+        assert [name for name in self.LAZY if importlib.util.find_spec(name) is None] == []
 
     @pytest.mark.parametrize("command", ["stats", "threshold", "eval", "lift", "--help"])
     def test_commands_without_a_tree_skip_lazy_modules(self, corpus, piped, tmp_path, command):

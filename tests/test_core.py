@@ -1,9 +1,9 @@
-"""Container validation: PointCloud, RigidTransform, CalibrationRig, ClassMap."""
+"""Container validation: PointCloud, CalibrationRig, ClassMap."""
 
 import numpy as np
 import pytest
 
-from seglift.core import CalibrationRig, ClassMap, PointCloud, RigidTransform
+from seglift.core import CalibrationRig, ClassMap, PointCloud
 
 
 def random_cloud(n, seed=0):
@@ -43,29 +43,6 @@ class TestPointCloud:
             PointCloud(np.zeros((3, 3)), np.zeros(2))
 
 
-class TestRigidTransform:
-    def test_identity(self):
-        t = RigidTransform.identity()
-        pts = np.array([[1.0, 2.0, 3.0]])
-        np.testing.assert_array_equal(t.apply(pts), pts)
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError):
-            RigidTransform(np.eye(3) * 2.0, np.zeros(3))
-
-    def test_rejects_reflection(self):
-        with pytest.raises(ValueError):
-            RigidTransform(np.diag([-1.0, 1.0, 1.0]), np.zeros(3))
-
-    def test_inverse_roundtrip(self):
-        rng = np.random.default_rng(3)
-        t = RigidTransform.yaw(rng.uniform(0, 2 * np.pi))
-        t = RigidTransform(t.rotation, rng.uniform(-5, 5, 3))
-        pts = rng.uniform(-10, 10, (50, 3))
-        back = t.inverse().apply(t.apply(pts))
-        np.testing.assert_allclose(back, pts, atol=1e-5)
-
-
 class TestCalibrationRig:
     def test_valid_rig(self):
         rig = CalibrationRig(
@@ -78,6 +55,11 @@ class TestCalibrationRig:
         t = np.eye(4)
         t[0, 0] = 2.0
         with pytest.raises(ValueError):
+            CalibrationRig(P=np.zeros((3, 4)), T=t, width=10, height=10)
+
+    def test_rejects_reflection_rotation_block(self):
+        t = np.diag([-1.0, 1.0, 1.0, 1.0])  # orthonormal, determinant -1
+        with pytest.raises(ValueError, match="determinant"):
             CalibrationRig(P=np.zeros((3, 4)), T=t, width=10, height=10)
 
     def test_rejects_nonpositive_size(self):
