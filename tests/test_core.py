@@ -57,6 +57,12 @@ class TestCalibrationRig:
         with pytest.raises(ValueError):
             CalibrationRig(P=np.zeros((3, 4)), T=t, width=10, height=10)
 
+    def test_rejects_non_orthonormal_rotation_block(self):
+        t = np.eye(4)
+        t[:3, :3] = np.eye(3) * 2.0  # uniform scale: determinant 8, not orthonormal
+        with pytest.raises(ValueError, match="orthonormal"):
+            CalibrationRig(P=np.zeros((3, 4)), T=t, width=10, height=10)
+
     def test_rejects_reflection_rotation_block(self):
         t = np.diag([-1.0, 1.0, 1.0, 1.0])  # orthonormal, determinant -1
         with pytest.raises(ValueError, match="determinant"):

@@ -103,6 +103,12 @@ class TestVariantGeometry:
         assert out.xyz.tobytes() == expected.tobytes()
         assert out.intensity.tobytes() == cloud.intensity.tobytes()
 
+    def test_identity_apply_is_bitwise_equal(self):
+        cloud = random_cloud(100, 1)
+        out = TtaVariant("identity", "identity").apply(cloud)
+        assert out.xyz.tobytes() == cloud.xyz.tobytes()
+        assert out.intensity.tobytes() == cloud.intensity.tobytes()
+
     def test_flip_x(self):
         out = flip("x").apply(make_cloud([[1.0, 2.0, 3.0]]))
         np.testing.assert_array_equal(out.xyz, [[-1.0, 2.0, 3.0]])
