@@ -270,7 +270,7 @@ def _lift_refine(cfg: PipelineConfig, scan: Scan) -> None:
 
 
 def _cut(class_map: ClassMap, thresholds: np.ndarray, scan: Scan):
-    labels, _ = io.read_labels(scan.output(D_REFINED, ".label"), class_map=class_map)
+    labels = io.read_labels(scan.output(D_REFINED, ".label"), class_map=class_map)
     conf = io.read_tensor(scan.output(D_CONF), labels.shape, np.float32).astype(np.float64)
     try:
         out, _ = apply_threshold(labels, conf, thresholds)
@@ -289,7 +289,7 @@ def _slice(masks: str | None, scan: Scan) -> None:
     io.write_tensor(index_map.astype(np.uint32), scan.output(D_INDEX))
     label_path = scan.seq / D_LABELS / f"{scan.stem}.label"
     if label_path.exists():
-        labels, _ = io.read_labels(label_path, count=len(cloud))
+        labels = io.read_labels(label_path, count=len(cloud))
         io.write_labels(labels[index_map], scan.output(D_LABELS_FOV, ".label"))
 
 
@@ -339,7 +339,7 @@ def _lift_inputs(cfg: PipelineConfig) -> list[Scan]:
 
 def _stats(out_root, scans: list[Scan], class_map: ClassMap) -> None:
     """Write histogram.csv: the class counts of the refined labels of `scans`."""
-    labels = (io.read_labels(s.output(D_REFINED, ".label"), class_map=class_map)[0] for s in scans)
+    labels = (io.read_labels(s.output(D_REFINED, ".label"), class_map=class_map) for s in scans)
     counts = histogram(labels, class_map.num_classes)
     with io.atomic_write(Path(out_root) / "histogram.csv") as fh:
         fh.write("".join(f"{i},{int(c)}\n" for i, c in enumerate(counts)).encode())
@@ -475,8 +475,8 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"{gt_dir}: no .label files")
     total = ConfusionMatrix(class_map.num_classes)
     for stem in stems:
-        gt, _ = io.read_labels(gt_dir / f"{stem}.label", class_map=class_map, remap=remap)
-        pred, _ = io.read_labels(pred_dir / f"{stem}.label", class_map=class_map, count=len(gt))
+        gt = io.read_labels(gt_dir / f"{stem}.label", class_map=class_map, remap=remap)
+        pred = io.read_labels(pred_dir / f"{stem}.label", class_map=class_map, count=len(gt))
         mask = None
         if args.masks:
             mask = _read_mask(Path(args.masks) / f"{stem}.ptns", len(gt))

@@ -4,9 +4,8 @@ Formats
 -------
 - Point clouds: ``.bin`` of little-endian float32 (x, y, z, intensity) quads.
 - Labels: ``.label`` of little-endian uint32 words; low 16 bits semantic
-  class, high 16 bits instance id.  Instance bits are preserved on read
-  (side channel) and written as zero: this toolkit emits semantic
-  pseudo-labels only.
+  class, high 16 bits instance id.  Instance bits are dropped on read and
+  written as zero: this toolkit emits semantic pseudo-labels only.
 - Calibration: text lines ``P2: <12 floats>`` / ``Tr: <12 floats>``.
 - Tensors: self-describing "PTNS" container, header = magic ``PTNS``,
   version u8 (=1), dtype u8, ndim u32, dims u32 x ndim, all little-endian,
@@ -108,13 +107,13 @@ def write_cloud_bin(cloud: PointCloud, path) -> None:
 
 
 def read_labels(path, class_map: ClassMap | None = None, remap: dict[int, int] | None = None,
-                count: int | None = None):
+                count: int | None = None) -> np.ndarray:
     """Read a .label file.
 
-    Returns (labels, instances): semantic class ids (uint16) and the
-    preserved high-16-bit instance ids (uint16).  If `remap` is given the
-    raw semantic ids are translated through it first; if `class_map` is
-    given every resulting id must fall inside it.
+    Returns the (N,) uint16 semantic class ids; the high-16-bit instance
+    ids are dropped.  If `remap` is given the raw semantic ids are
+    translated through it first; if `class_map` is given every resulting
+    id must fall inside it.
 
     Raises LengthError on bad file length, DimMismatch when the file does
     not hold `count` labels, UnknownClassError on ids that survive
@@ -126,7 +125,6 @@ def read_labels(path, class_map: ClassMap | None = None, remap: dict[int, int] |
     _fit(path, (len(data) // _LABEL_RECORD,), None if count is None else (count,))
     words = np.frombuffer(data, dtype="<u4")
     labels = (words & 0xFFFF).astype(np.uint16)
-    instances = (words >> 16).astype(np.uint16)
     if remap is not None:
         table = np.full(65536, -1, dtype=np.int32)
         for raw, train in remap.items():
@@ -139,7 +137,7 @@ def read_labels(path, class_map: ClassMap | None = None, remap: dict[int, int] |
     if class_map is not None and labels.size and int(labels.max()) >= class_map.num_classes:
         bad = int(labels[labels >= class_map.num_classes][0])
         raise UnknownClassError(f"{path}: class {bad} outside map of {class_map.num_classes} classes")
-    return labels, instances
+    return labels
 
 
 def write_labels(labels: np.ndarray, path) -> None:

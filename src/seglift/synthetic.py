@@ -18,8 +18,7 @@ truth exactly inside the camera view.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -103,16 +102,12 @@ class SceneSpec:
         t[:3, :3] = _R_CAM
         return CalibrationRig(P=p, T=t, width=cam.width, height=cam.height)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
 
 @dataclass
 class RenderedScene:
     cloud: PointCloud
     labels: np.ndarray  # (N,) uint16 ground truth
     rig: CalibrationRig
-    spec: SceneSpec
 
 
 def _cast_rays(dirs: np.ndarray, spec: SceneSpec):
@@ -212,7 +207,7 @@ def render_scene(spec: SceneSpec) -> RenderedScene:
         pix = class_img[np.floor(v[idx]).astype(np.int64), np.floor(u[idx]).astype(np.int64)]
         consistent[idx] = pix == labels[idx]
     keep = np.flatnonzero(consistent)
-    return RenderedScene(cloud=cloud.take(keep), labels=labels[keep], rig=rig, spec=spec)
+    return RenderedScene(cloud=cloud.take(keep), labels=labels[keep], rig=rig)
 
 
 _WINDOW_SHIFTS = tuple(
@@ -319,12 +314,12 @@ def default_class_map() -> ClassMap:
 
 
 def generate_corpus(out_dir, num_scenes: int, seed: int,
-                    error_rate_border: float, error_rate_body: float) -> list[Path]:
+                    error_rate_border: float, error_rate_body: float) -> None:
     """Write a synthetic corpus in the standard dataset layout.
 
-    Produces sequences/00/{velodyne,labels,probs_2d,scene_specs} plus
-    calib.txt and a class_map.csv at the root; file contents depend only
-    on (seed, rates, num_scenes).  Returns the written frame stems.
+    Produces sequences/00/{velodyne,labels,probs_2d} plus calib.txt and a
+    class_map.csv at the root; file contents depend only on (seed, rates,
+    num_scenes).
     """
     from . import io as seglift_io
 
@@ -332,7 +327,6 @@ def generate_corpus(out_dir, num_scenes: int, seed: int,
     seq_dir = out_dir / "sequences" / "00"
     seglift_io.write_class_map(default_class_map(), out_dir / "class_map.csv")
 
-    frames = []
     for i in range(num_scenes):
         scene_seed = (seed * 1_000_003 + i) % (2 ** 63)
         spec = random_scene_spec(scene_seed)
@@ -343,10 +337,5 @@ def generate_corpus(out_dir, num_scenes: int, seed: int,
         seglift_io.write_cloud_bin(scene.cloud, seq_dir / "velodyne" / f"{stem}.bin")
         seglift_io.write_labels(scene.labels, seq_dir / "labels" / f"{stem}.label")
         seglift_io.write_tensor(prob_map, seq_dir / "probs_2d" / f"{stem}.ptns")
-        spec_path = seq_dir / "scene_specs" / f"{stem}.json"
-        with seglift_io.atomic_write(spec_path) as fh:
-            fh.write(spec.to_json().encode())
         if i == 0:
             seglift_io.write_calib(scene.rig, seq_dir / "calib.txt")
-        frames.append(seq_dir / stem)
-    return frames

@@ -95,7 +95,7 @@ def lifted_corpus(corpus):
     scans = []
     for stem in sorted(p.stem for p in (seq / "velodyne").glob("*.bin")):
         cloud = io.read_cloud_bin(seq / "velodyne" / f"{stem}.bin")
-        gt, _ = io.read_labels(seq / "labels" / f"{stem}.label")
+        gt = io.read_labels(seq / "labels" / f"{stem}.label")
         prob_map = io.read_tensor(seq / "probs_2d" / f"{stem}.ptns")
         rig = io.read_calib(seq / "calib.txt",
                             image_size=(prob_map.shape[1], prob_map.shape[0]))
@@ -342,7 +342,7 @@ def test_criterion_8_format_round_trips(tmp_path):
             words = rng.integers(0, 30, size=int(rng.integers(0, 400))).astype("<u4")
             lsrc = tmp_path / "x.label"
             lsrc.write_bytes(words.tobytes())
-            labels, _ = io.read_labels(lsrc)
+            labels = io.read_labels(lsrc)
             ldst = tmp_path / "x.out.label"
             io.write_labels(labels, ldst)
             assert lsrc.read_bytes() == ldst.read_bytes()

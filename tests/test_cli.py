@@ -53,7 +53,7 @@ def sparse_corpus(corpus, tmp_path_factory):
     for stem in ("000000", "000001"):
         cloud = io.read_cloud_bin(seq / "velodyne" / f"{stem}.bin")
         io.write_cloud_bin(cloud.take(np.arange(0, len(cloud), 8)), seq / "velodyne" / f"{stem}.bin")
-        labels, _ = io.read_labels(seq / "labels" / f"{stem}.label")
+        labels = io.read_labels(seq / "labels" / f"{stem}.label")
         io.write_labels(labels[::8], seq / "labels" / f"{stem}.label")
     return root
 
@@ -79,11 +79,14 @@ def tree_digest(root):
 class TestSynth:
     def test_layout(self, corpus):
         seq = corpus / "sequences" / "00"
-        assert (corpus / "class_map.csv").exists()
-        assert (seq / "calib.txt").exists()
+        assert sorted(p.name for p in corpus.iterdir()) == ["class_map.csv", "sequences"]
+        assert [p.name for p in (corpus / "sequences").iterdir()] == ["00"]
+        assert sorted(p.name for p in seq.iterdir()) == [
+            "calib.txt", "labels", "probs_2d", "velodyne"]
+        assert (corpus / "class_map.csv").is_file() and (seq / "calib.txt").is_file()
         for sub, suffix in (("velodyne", ".bin"), ("labels", ".label"), ("probs_2d", ".ptns")):
-            files = sorted((seq / sub).glob(f"*{suffix}"))
-            assert [f.stem for f in files] == ["000000", "000001"]
+            files = sorted(p.name for p in (seq / sub).iterdir())
+            assert files == [f"000000{suffix}", f"000001{suffix}"]
 
     def test_deterministic(self, corpus, tmp_path):
         again = tmp_path / "again"
@@ -190,7 +193,7 @@ class TestStages:
             idx = io.read_tensor(graph_path)
             xyz = io.read_cloud_bin(velodyne / f"{stem}.bin").xyz
             np.testing.assert_array_equal(idx, knn_brute(xyz[view], 5)[0])
-            labels, _ = io.read_labels(seq / "refined_labels" / f"{stem}.label")
+            labels = io.read_labels(seq / "refined_labels" / f"{stem}.label")
             conf = io.read_tensor(seq / "confidences" / f"{stem}.ptns")
             assert view.any() and (~view).any()
             assert not labels[~view].any() and not conf[~view].any()
@@ -234,24 +237,58 @@ def write_sparse_dataset(root):
 
 
 class TestSparseScans:
-    @pytest.mark.parametrize("command", ["refine", "pipeline"])
-    def test_k_clamped_and_empty_fov_ignored(self, tmp_path, command):
+    @pytest.mark.parametrize("command, include_self", [
+        pytest.param("refine", True, id="refine"),
+        pytest.param("pipeline", True, id="pipeline"),
+        pytest.param("refine", False, id="refine-without-self"),
+        pytest.param("pipeline", False, id="pipeline-without-self"),
+    ])
+    def test_k_clamped_and_empty_fov_ignored(self, tmp_path, command, include_self):
         root = tmp_path / "data"
         write_sparse_dataset(root)
         out = tmp_path / "out"
-        base = ["--dataset-root", root, "--output-root", out, "--class-map", root / "class_map.csv"]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"refinement": {"include_self": include_self}}))
+        base = ["--config", cfg, "--dataset-root", root, "--output-root", out,
+                "--class-map", root / "class_map.csv"]
         if command == "refine":
             assert run(["lift", *base]) == 0
         assert run([command, *base]) == 0
         seq = out / "sequences" / "00"
-        # The default k=19 clamps to the 3 in-view points: each averages all three rows.
-        labels, _ = io.read_labels(seq / "refined_labels" / "000000.label")
+        labels = io.read_labels(seq / "refined_labels" / "000000.label")
         conf = io.read_tensor(seq / "confidences" / "000000.ptns")
         assert labels.tolist() == [1, 1, 1, 0, 0]
-        np.testing.assert_allclose(conf, [2 / 3, 2 / 3, 2 / 3, 0, 0], rtol=1e-6)
-        labels, _ = io.read_labels(seq / "refined_labels" / "000001.label")
+        (graph,) = (seq / "knn" / "000000").iterdir()
+        if include_self:
+            # The default k=19 clamps to the 3 in-view points: each averages all three rows.
+            np.testing.assert_allclose(conf, [2 / 3, 2 / 3, 2 / 3, 0, 0], rtol=1e-6)
+            assert io.read_tensor(graph).shape == (3, 3)
+        else:
+            # 2 other points clamp k to 2, which is even, so k drops to 1:
+            # each point takes the row of its nearest other point, a road row.
+            assert conf.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
+            assert io.read_tensor(graph).tolist() == [[1], [0], [0]]
+        labels = io.read_labels(seq / "refined_labels" / "000001.label")
         conf = io.read_tensor(seq / "confidences" / "000001.ptns")
         assert labels.tolist() == [0, 0] and conf.tolist() == [0.0, 0.0]
+        assert not (seq / "knn" / "000001").exists()
+
+    def test_a_scan_left_with_no_view_removes_its_graphs(self, tmp_path):
+        from seglift.core import PointCloud
+        root = tmp_path / "data"
+        write_sparse_dataset(root)
+        out = tmp_path / "out"
+        base = ["--dataset-root", root, "--output-root", out, "--class-map", root / "class_map.csv"]
+        knn = out / "sequences" / "00" / "knn" / "000000"
+        assert run(["lift", *base]) == 0 and run(["refine", *base]) == 0
+        assert len(list(knn.iterdir())) == 1
+        behind = np.array([[0.0, 0.0, -1.0], [1.0, 1.0, -2.0]])
+        io.write_cloud_bin(PointCloud(behind, np.full(2, 0.5)),
+                           root / "sequences" / "00" / "velodyne" / "000000.bin")
+        assert run(["lift", *base]) == 0 and run(["refine", *base]) == 0
+        assert not knn.exists()
+        labels = io.read_labels(out / "sequences" / "00" / "refined_labels" / "000000.label")
+        assert labels.tolist() == [0, 0]
 
 
 class TestZeroNoisePipeline:
@@ -308,7 +345,7 @@ class TestEval:
         cm = ["--class-map", corpus / "class_map.csv"]
         pairs = []
         for path in sorted(gt_dir.glob("*.label")):
-            gt, _ = io.read_labels(path)
+            gt = io.read_labels(path)
             pred = np.roll(gt, 1)  # disagrees with gt on every class border
             io.write_labels(pred, tmp_path / "pred" / path.name)
             pairs.append((gt, pred))
@@ -337,7 +374,7 @@ class TestEval:
         labels = corpus / "sequences" / "00" / "labels"
         masks = tmp_path / "masks"
         for path in labels.glob("*.label"):
-            io.write_tensor(np.zeros(len(io.read_labels(path)[0]), np.uint8),
+            io.write_tensor(np.zeros(len(io.read_labels(path)), np.uint8),
                             masks / f"{path.stem}.ptns")
         capsys.readouterr()
         assert run(["eval", "--gt", labels, "--pred", labels, "--masks", masks,
@@ -361,8 +398,8 @@ class TestSlice:
         assert index_map.dtype == np.uint32
         assert len(sliced) == int(mask.sum())
         np.testing.assert_allclose(sliced.xyz, cloud.xyz[index_map], atol=0)
-        gt, _ = io.read_labels(corpus / "sequences" / "00" / "labels" / "000000.label")
-        gt_fov, _ = io.read_labels(seq / "labels_fov" / "000000.label")
+        gt = io.read_labels(corpus / "sequences" / "00" / "labels" / "000000.label")
+        gt_fov = io.read_labels(seq / "labels_fov" / "000000.label")
         np.testing.assert_array_equal(gt_fov, gt[index_map])
 
     def test_lift_output_root_serves_as_masks(self, corpus, tmp_path):
@@ -482,6 +519,28 @@ class TestExitCodes:
                     "--class-map", corpus / "class_map.csv"]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, message", [
+        ("synth --out {out} --scenes 0", "--scenes must be >= 1"),
+        ("synth --out {out} --border-rate 1.5", "error rates must lie in [0, 1]"),
+        ("eval --gt {empty} --pred {empty} --class-map {cm} --out {out}",
+         "{empty}: no .label files"),
+        ("tta aggregate --dataset-root {data} --output-root {out}",
+         "tta: no per-variant tensors (<stem>_vNN.ptns)"),
+        ("refine --dataset-root {empty} --output-root {out}",
+         "{empty}/sequences: no sequence directories"),
+    ], ids=["synth-no-scenes", "synth-rate-above-one", "eval-empty-gt",
+            "tta-aggregate-no-variants", "refine-no-sequence"])
+    def test_input_with_nothing_to_do_is_config_error(self, corpus, tmp_path, capsys,
+                                                       command, message):
+        paths = {"empty": tmp_path / "empty", "data": tmp_path / "data", "out": tmp_path / "out",
+                 "cm": corpus / "class_map.csv"}
+        (paths["empty"] / "sequences").mkdir(parents=True)
+        io.write_tensor(np.zeros(3, np.float32),
+                        paths["data"] / "sequences" / "00" / "tta" / "000000.ptns")
+        assert run([a.format(**paths) for a in command.split()]) == 2
+        assert f"config error: {message.format(**paths)}" in capsys.readouterr().err
+        assert not paths["out"].exists()
 
     @pytest.mark.parametrize("command", ["lift", "pipeline"])
     def test_missing_teacher_map_fails_before_any_write(self, corpus, tmp_path, capsys, command):
@@ -606,7 +665,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("row, lineno, message", [
         ("1,-50000", 2, "negative count -50000"),
         ("1,7", 6, "duplicate class 1"),
-    ], ids=["negative-count", "repeated-class"])
+        ("x,5", 6, "bad histogram row"),
+        ("9,5", 6, "class 9 outside the class map"),
+    ], ids=["negative-count", "repeated-class", "not-a-number", "class-outside-map"])
     def test_bad_histogram_row_is_config_error_naming_its_line(self, corpus, tmp_path, capsys,
                                                                row, lineno, message):
         out = tmp_path / "out"
@@ -734,7 +795,7 @@ class TestFilesThatDoNotFit:
         elif "teacher-map" in row:  # (H, W) instead of (H, W, C)
             io.write_tensor(io.read_tensor(path)[..., 0].copy(), path)
         elif row.startswith("threshold-static"):  # a class outside the class map
-            labels, _ = io.read_labels(path)
+            labels = io.read_labels(path)
             labels[0] = io.read_class_map(data / "class_map.csv").num_classes
             io.write_labels(labels, path)
         else:
@@ -864,7 +925,7 @@ class TestKnnGraphReuse:
         for stem in ("000000", "000001"):
             mask = io.read_tensor(seq / "fov_mask" / f"{stem}.ptns").view(bool)
             rows = io.read_tensor(seq / "probs_3d" / f"{stem}.ptns")
-            labels, _ = io.read_labels(seq / "refined_labels" / f"{stem}.label")
+            labels = io.read_labels(seq / "refined_labels" / f"{stem}.label")
             np.testing.assert_array_equal(labels[mask], rows.argmax(axis=1))
 
     @pytest.mark.parametrize("change", ["k", "include_self", "one point", "fov mask"])

@@ -85,22 +85,21 @@ class TestLabels:
     def test_zero_word(self, tmp_path):
         path = tmp_path / "a.label"
         path.write_bytes(struct.pack("<I", 0))
-        labels, instances = io.read_labels(path)
-        assert labels.tolist() == [0] and instances.tolist() == [0]
+        labels = io.read_labels(path)
+        assert labels.dtype == np.uint16 and labels.tolist() == [0]
 
     def test_instance_bits_split(self, tmp_path):
         path = tmp_path / "a.label"
         path.write_bytes(struct.pack("<I", 0x002A000A))
-        labels, instances = io.read_labels(path)
-        assert labels.tolist() == [10]
-        assert instances.tolist() == [0x2A]
+        labels = io.read_labels(path)
+        assert labels.dtype == np.uint16 and labels.tolist() == [10]
 
     def test_roundtrip_zero_instance(self, tmp_path):
         rng = np.random.default_rng(1)
         src = tmp_path / "src.label"
         words = rng.integers(0, 20, 500).astype("<u4")
         src.write_bytes(words.tobytes())
-        labels, _ = io.read_labels(src)
+        labels = io.read_labels(src)
         dst = tmp_path / "dst.label"
         io.write_labels(labels, dst)
         assert src.read_bytes() == dst.read_bytes()
@@ -108,7 +107,7 @@ class TestLabels:
     def test_write_zeroes_instances(self, tmp_path):
         src = tmp_path / "src.label"
         src.write_bytes(struct.pack("<I", 0x002A000A))
-        labels, _ = io.read_labels(src)
+        labels = io.read_labels(src)
         dst = tmp_path / "dst.label"
         io.write_labels(labels, dst)
         assert struct.unpack("<I", dst.read_bytes())[0] == 0x0000000A
@@ -128,7 +127,7 @@ class TestLabels:
     def test_remap(self, tmp_path):
         path = tmp_path / "a.label"
         path.write_bytes(struct.pack("<2I", 40, 44))
-        labels, _ = io.read_labels(path, remap={40: 1, 44: 2})
+        labels = io.read_labels(path, remap={40: 1, 44: 2})
         assert labels.tolist() == [1, 2]
 
     def test_remap_missing_raw_id(self, tmp_path):
@@ -342,6 +341,20 @@ class TestRemapFile:
             io.read_remap(path)
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize("existing", [b"old bytes", None], ids=["over-a-file", "new-file"])
+    def test_a_writer_that_raises_leaves_no_trace(self, tmp_path, existing):
+        path = tmp_path / "out.ptns"
+        if existing is not None:
+            path.write_bytes(existing)
+        with pytest.raises(KeyboardInterrupt):
+            with io.atomic_write(path) as fh:
+                fh.write(b"partial")
+                raise KeyboardInterrupt
+        assert not list(tmp_path.glob("*.tmp"))
+        assert (path.read_bytes() if path.exists() else None) == existing
+
+
 def test_random_roundtrips_are_byte_identical(tmp_path):
     rng = np.random.default_rng(42)
     for i in range(25):
@@ -449,16 +462,16 @@ def test_readers_return_valid_results_or_typed_errors(tmp_path, blob, shape, cou
         assert again.read_bytes() == blob
 
     try:
-        labels, instances = io.read_labels(path)
+        labels = io.read_labels(path)
     except ToolkitError:
         labels = None
     else:
         words = np.frombuffer(blob, dtype="<u4")
+        assert labels.dtype == np.uint16
         np.testing.assert_array_equal(labels, words & 0xFFFF)
-        np.testing.assert_array_equal(instances, words >> 16)
 
     try:
-        counted, _ = io.read_labels(path, count=count)
+        counted = io.read_labels(path, count=count)
     except ToolkitError:
         assert labels is None or count not in (None, len(labels))
     else:
