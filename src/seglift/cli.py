@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -130,19 +131,37 @@ def _require(paths) -> None:
         raise FileNotFoundError(f"{len(missing)} missing input file(s): {', '.join(missing)}")
 
 
-def _run(fn, arg, scans: list[Scan], jobs: int) -> list:
-    """`fn(arg, scan)` for every scan, in scan order, over `jobs` processes at most."""
-    work = partial(fn, arg)
+@contextmanager
+def _pool(jobs: int, scans: list[Scan], kd_tree: bool = False):
+    """Forked workers for `scans`, at most `jobs`, or None where one process will do.
+
+    With `kd_tree`, a scan without knn/<stem>/ will build a tree, so the
+    kd-tree extension loads here, once, and every worker inherits it.
+    """
     workers = min(jobs, len(scans))  # a pool forks all its workers, even idle ones
     if workers <= 1:
-        return [work(scan) for scan in scans]
+        yield None
+        return
+    if kd_tree and not all((s.out / D_KNN / s.stem).is_dir() for s in scans):
+        from .refinement import _ckdtree
+
+        _ckdtree()
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_all_start_methods, get_context
 
     # Forked workers inherit numpy and the loaded modules; Python 3.14's forkserver would not.
     context = get_context("fork") if "fork" in get_all_start_methods() else None
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        yield pool
+
+
+def _run(fn, arg, scans: list[Scan], jobs: int, pool=None) -> list:
+    """`fn(arg, scan)` for each scan, in scan order: on `pool`, else on `jobs` processes at most."""
+    work = partial(fn, arg)
+    if pool is not None:
         return list(pool.map(work, scans))
+    with _pool(jobs, scans) as pool:
+        return list(map(work, scans) if pool is None else pool.map(work, scans))
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +365,8 @@ def _stats(out_root, scans: list[Scan], class_map: ClassMap) -> None:
     print(f"stats: histogram over {int(counts.sum())} labels -> histogram.csv")
 
 
-def _threshold(cfg: PipelineConfig, scans: list[Scan], class_map: ClassMap) -> None:
-    """Cut the refined labels of `scans`; write thresholds.csv and reduction.csv.
+def _threshold(cfg: PipelineConfig, scans: list[Scan], class_map: ClassMap, pool=None) -> None:
+    """Cut the refined labels of `scans` (on `pool`); write thresholds.csv and reduction.csv.
 
     Class-balanced mode reads the corpus counts from histogram.csv.
     """
@@ -367,7 +386,7 @@ def _threshold(cfg: PipelineConfig, scans: list[Scan], class_map: ClassMap) -> N
     with io.atomic_write(out_root / "thresholds.csv") as fh:
         fh.write("".join(f"{i},{t:.12f}\n" for i, t in enumerate(thresholds)).encode())
 
-    results = _run(partial(_cut, class_map), thresholds, scans, cfg.jobs)
+    results = _run(partial(_cut, class_map), thresholds, scans, cfg.jobs, pool)
     removed = sum(r for _, r, _ in results)
     labeled = sum(n for _, _, n in results)
     frac = removed / labeled if labeled else 0.0
@@ -435,7 +454,8 @@ def cmd_refine(args) -> int:
     cfg = _config(args, "dataset_root", "output_root")
     scans = _scans(cfg.dataset_root, cfg.output_root)
     _require(p for s in scans for p in (s.output(D_PROBS3D), s.output(D_MASK)))
-    _run(_refine_stored, cfg, scans, cfg.jobs)
+    with _pool(cfg.jobs, scans, kd_tree=True) as pool:
+        _run(_refine_stored, cfg, scans, cfg.jobs, pool)
     print(f"refine[{cfg.refinement.scheme}, k={cfg.refinement.k}]: {len(scans)} scans")
     return 0
 
@@ -543,12 +563,13 @@ def cmd_pipeline(args) -> int:
     cfg = _config(args, "dataset_root", "output_root", "class_map")
     class_map = io.read_class_map(cfg.class_map)
     scans = _lift_inputs(cfg)
-    _run(_lift_refine, cfg, scans, cfg.jobs)
-    print(f"lift: {len(scans)} scans -> {cfg.output_root}")
-    print(f"refine[{cfg.refinement.scheme}, k={cfg.refinement.k}]: {len(scans)} scans")
-    if cfg.threshold.mode == "class_balanced":
-        _stats(cfg.output_root, scans, class_map)
-    _threshold(cfg, scans, class_map)
+    with _pool(cfg.jobs, scans, kd_tree=True) as pool:  # the cut reuses the forked workers
+        _run(_lift_refine, cfg, scans, cfg.jobs, pool)
+        print(f"lift: {len(scans)} scans -> {cfg.output_root}")
+        print(f"refine[{cfg.refinement.scheme}, k={cfg.refinement.k}]: {len(scans)} scans")
+        if cfg.threshold.mode == "class_balanced":
+            _stats(cfg.output_root, scans, class_map)
+        _threshold(cfg, scans, class_map, pool)
     print(f"pipeline: pseudo-labels in {cfg.output_root}")
     return 0
 

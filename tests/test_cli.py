@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seglift
 import seglift.cli
@@ -140,8 +142,16 @@ class TestStages:
         out = tmp_path / "out"
         assert run(["pipeline", "--dataset-root", corpus, "--output-root", out,
                     "--class-map", corpus / "class_map.csv", "--jobs", "4"]) == 0
-        assert [size for size, _ in pools] == [2, 2]  # lift and refine, then the cut: one worker per scan
+        assert [size for size, _ in pools] == [2]  # one pool for both maps, one worker per scan
         assert tree_digest(out) == tree_digest(piped)  # the jobs-1 tree
+
+    def test_threshold_pool_gets_one_worker_per_scan(self, corpus, piped, tmp_path, pools):
+        out = tmp_path / "out"
+        shutil.copytree(piped, out)
+        assert run(["threshold", "--output-root", out, "--class-map", corpus / "class_map.csv",
+                    "--jobs", "4"]) == 0
+        assert [size for size, _ in pools] == [2]
+        assert tree_digest(out) == tree_digest(piped)
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the platform cannot fork")
@@ -477,8 +487,13 @@ class TestSoupCommand:
         assert run(["soup", "--candidates", *paths, "--eval-cmd",
                     f"{sys.executable} {script}", "--out", out]) == 0
         np.testing.assert_array_equal(io.read_tensor(out), np.array([0.5], np.float32))
-        log = json.loads((str(out) + ".log.json" and (tmp_path / "soup.ptns.log.json")).read_text())
+        log = json.loads(Path(f"{out}.log.json").read_text())
         assert [e["action"] for e in log] == ["seed", "added", "rejected"]
+        log_path = tmp_path / "logs" / "inclusion.json"
+        log_path.parent.mkdir()
+        assert run(["soup", "--candidates", *paths, "--eval-cmd", f"{sys.executable} {script}",
+                    "--out", out, "--log", log_path]) == 0
+        assert json.loads(log_path.read_text()) == log
 
 
 class TestExitCodes:
@@ -498,6 +513,17 @@ class TestExitCodes:
         (seq / "probs_2d" / "000000.ptns").write_bytes(b"XXXX")
         (seq / "calib.txt").write_text("P2: 1 0 0 0 0 1 0 0 0 0 1 0\nTr: 1 0 0 0 0 1 0 0 0 0 1 0\n")
         assert run(["lift", "--dataset-root", bad_root, "--output-root", tmp_path / "out"]) == 1
+
+    def test_worker_failure_exits_one_and_leaves_no_process(self, corpus, tmp_path, capsys):
+        """A failed first map shuts the shared pool down: no worker outlives `main()`."""
+        root = tmp_path / "data"
+        shutil.copytree(corpus, root)
+        teacher = root / "sequences" / "00" / "probs_2d" / "000001.ptns"
+        io.write_tensor(2 * io.read_tensor(teacher), teacher)  # every row sums to 2
+        assert run(["pipeline", "--dataset-root", root, "--output-root", tmp_path / "out",
+                    "--class-map", root / "class_map.csv", "--jobs", "2"]) == 1
+        assert f"{teacher}: pixel" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
     def test_unknown_config_key_exits_two(self, corpus, tmp_path):
         cfg = tmp_path / "config.json"
@@ -860,6 +886,37 @@ def graphs(out):
     return sorted(p.relative_to(knn).as_posix() for p in knn.glob("*/*.ptns"))
 
 
+def knn_lexsort(points, k: int, include_self: bool = True, chunk: int = 256) -> np.ndarray:
+    """`knn_brute`'s neighbor indices from one lexsort per block of `chunk` queries:
+    each row orders every point by (squared distance, not the query, index).
+    Fast enough for a whole scan, where the per-row Python sort is not."""
+    points = np.asarray(points, dtype=np.float64)
+    n = len(points)
+    cols = np.arange(n)
+    idx = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, chunk):
+        rows = cols[start:start + chunk, None]
+        d2 = ((points - points[rows]) ** 2).sum(axis=2)
+        order = np.lexsort((np.broadcast_to(cols, d2.shape), cols != rows, d2))
+        if not include_self:
+            order = order[order != rows].reshape(len(rows), n - 1)
+        idx[start:start + len(rows)] = order[:, :k]
+    return idx
+
+
+class TestKnnLexsort:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 200), st.integers(0, 2**32 - 1), st.sampled_from([2, 4, None]),
+           st.booleans(), st.data())
+    def test_matches_the_exhaustive_oracle(self, n, seed, grid, include_self, data):
+        rng = np.random.default_rng(seed)
+        # On a coarse grid, points coincide and distances repeat: the tie-breaks decide.
+        xyz = rng.integers(0, grid, (n, 3)) * 0.3 if grid else rng.normal(size=(n, 3))
+        k = data.draw(st.integers(1, n if include_self else n - 1), label="k")
+        np.testing.assert_array_equal(knn_lexsort(xyz, k, include_self, chunk=7),
+                                      knn_brute(xyz, k, include_self)[0])
+
+
 @pytest.fixture
 def searches(monkeypatch):
     """Point counts of the refinements that built a kd-tree (graph misses), in call order."""
@@ -1002,6 +1059,19 @@ class TestKnnGraphReuse:
             trees.append(tree_digest(out))
         assert trees[0] == trees[1]
 
+    def test_graphs_built_by_forked_workers_are_exact(self, corpus, tmp_path):
+        """Every graph of the unthinned corpus, each built in a `--jobs 2` worker."""
+        out = tmp_path / "out"
+        assert run(["pipeline", "--dataset-root", corpus, "--output-root", out,
+                    "--class-map", corpus / "class_map.csv", "--jobs", "2"]) == 0
+        seq, velodyne = out / "sequences" / "00", corpus / "sequences" / "00" / "velodyne"
+        assert len(graphs(out)) == 2
+        for name in graphs(out):
+            stem = name.split("/")[0]
+            view = io.read_tensor(seq / "fov_mask" / f"{stem}.ptns").astype(bool)
+            xyz = io.read_cloud_bin(velodyne / f"{stem}.bin").xyz[view]
+            np.testing.assert_array_equal(io.read_tensor(seq / "knn" / name), knn_lexsort(xyz, 19))
+
     def test_graph_layout_and_sparse_scans(self, tmp_path):
         root = tmp_path / "data"
         write_sparse_dataset(root)
@@ -1116,6 +1186,15 @@ class TestStartupImports:
         # The graphs that refine stored serve another scheme without a kd-tree.
         assert self.loaded(["refine", "--dataset-root", corpus, "--output-root", out,
                             "--scheme", "distance_weighted"]) == set()
+
+    def test_jobs_pool_loads_the_kd_tree_first_only_for_a_graph_miss(self, corpus, tmp_path):
+        """The parent loads the extension before the workers fork, so they inherit it;
+        a re-run whose scans all have stored graphs loads none."""
+        args = ["pipeline", "--dataset-root", corpus, "--output-root", tmp_path / "out",
+                "--class-map", corpus / "class_map.csv", "--jobs", "2"]
+        for loaded in (True, False):  # a fresh output root, then the same root again
+            report = fresh_main(args)
+            assert report["rc"] == 0 and (self.KD_TREE in report["modules"]) == loaded
 
     def test_one_scan_forks_no_pool(self, tmp_path):
         data = tmp_path / "data"
