@@ -289,12 +289,15 @@ def _lift_refine(cfg: PipelineConfig, scan: Scan) -> None:
 
 
 def _cut(class_map: ClassMap, thresholds: np.ndarray, scan: Scan):
-    labels = io.read_labels(scan.output(D_REFINED, ".label"), class_map=class_map)
-    conf = io.read_tensor(scan.output(D_CONF), labels.shape, np.float32).astype(np.float64)
+    label_path, conf_path = scan.output(D_REFINED, ".label"), scan.output(D_CONF)
+    labels = io.read_labels(label_path, class_map=class_map)
+    conf = io.read_tensor(conf_path, (None,), np.float32).astype(np.float64)
+    if conf.size != labels.size:
+        raise DimMismatch(f"{label_path}: {labels.size} labels, but {conf.size} in {conf_path}")
     try:
         out, _ = apply_threshold(labels, conf, thresholds)
     except (NonFiniteValue, NotADistribution) as exc:
-        raise type(exc)(f"{scan.output(D_CONF)}: {exc}") from exc
+        raise type(exc)(f"{conf_path}: {exc}") from exc
     labeled = int((labels != IGNORE_ID).sum())
     removed = labeled - int((out != IGNORE_ID).sum())
     io.write_labels(out, scan.output(D_PSEUDO, ".label"))

@@ -130,7 +130,7 @@ def parse_config(raw: dict, base_dir: Path | None = None, flags: dict | None = N
         "dataset_root": (str, None, ""),
         "output_root": (str, None, ""),
         "class_map": (str, None, ""),
-        "cameras": (list, lambda v: bool(v) and all(isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in v), "must be a non-empty list of camera ids"),
+        "cameras": (list, lambda v: bool(v) and all(isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in v) and len(set(v)) == len(v), "must be a non-empty list of distinct camera ids"),
         "image_size": (list, lambda v: len(v) == 2 and all(isinstance(x, int) and x > 0 for x in v), "must be [width, height] of positive ints"),
         "lift_sampling": (str, lambda v: v in SAMPLING_MODES, f"must be one of {SAMPLING_MODES}"),
         "jobs": (int, lambda v: v >= 1, "must be >= 1"),

@@ -48,10 +48,12 @@ class PointCloud:
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "PointCloud":
         """Build from an (N, 4) array of x, y, z, intensity rows."""
-        arr = np.asarray(arr, dtype=np.float64)
+        arr = np.asarray(arr)
         if arr.ndim != 2 or arr.shape[1] != 4:
             raise ValueError(f"expected (N, 4) array, got {arr.shape}")
-        return cls(arr[:, :3].copy(), arr[:, 3].copy())
+        with np.errstate(invalid="ignore"):  # a signalling NaN is rejected as non-finite
+            xyz, intensity = arr[:, :3].astype(np.float64), arr[:, 3].astype(np.float64)
+        return cls(xyz, intensity)
 
     def to_array(self) -> np.ndarray:
         """Return an (N, 4) float64 array of x, y, z, intensity rows."""

@@ -86,20 +86,16 @@ def read_cloud_bin(path) -> PointCloud:
     data = Path(path).read_bytes()
     if len(data) % _CLOUD_RECORD:
         raise LengthError(f"{path}: length {len(data)} not divisible by {_CLOUD_RECORD}")
-    arr = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
-    with np.errstate(invalid="ignore"):  # a signalling NaN is rejected below
-        arr = arr.astype(np.float64)
     try:
-        return PointCloud.from_array(arr)
+        return PointCloud.from_array(np.frombuffer(data, dtype="<f4").reshape(-1, 4))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
 def write_cloud_bin(cloud: PointCloud, path) -> None:
     """Write the cloud as float32 quads (the read_cloud_bin inverse)."""
-    arr = cloud.to_array().astype("<f4")
     with atomic_write(path) as fh:
-        fh.write(arr.tobytes())
+        fh.write(cloud.to_array().astype("<f4"))
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +141,8 @@ def write_labels(labels: np.ndarray, path) -> None:
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() > 0xFFFF):
         raise ValueError("semantic labels must fit in 16 bits")
-    words = labels.astype("<u4")
     with atomic_write(path) as fh:
-        fh.write(words.tobytes())
+        fh.write(labels.astype("<u4", order="C"))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,8 @@ TIE_BREAKS = ("lowest", "keep")
 # of c coincident points would otherwise gather c x 2c candidates together.
 _CHUNK_CANDIDATES = 1 << 19
 
+_AVG_BLOCK = 2048  # rows that refine_confidence_avg sums at once
+
 # numpy submodules that scipy's array-API shim imports, by listing numpy,
 # while the kd-tree loads, and that nothing then uses; `_ckdtree` defers
 # them (scipy does use numpy's random, linalg, fft and typing).
@@ -252,9 +254,11 @@ def refine_confidence_avg(rows: np.ndarray, idx: np.ndarray):
     normalized rows keeps the output normalized.
     """
     sub = _graph_rows(rows, idx)
-    k = idx.shape[1]
-    acc = np.zeros_like(sub)
-    for j in range(k):
-        acc += sub[idx[:, j]]
-    refined = acc / k
+    refined = np.zeros_like(sub)
+    # Blocks keep each rank's gathered rows small; sums still add in rank order.
+    for lo in range(0, len(sub), _AVG_BLOCK):
+        out = refined[lo:lo + _AVG_BLOCK]
+        for col in idx[lo:lo + _AVG_BLOCK].T.astype(np.intp, order="C"):
+            out += sub.take(col, axis=0)
+    refined /= idx.shape[1]
     return refined.argmax(axis=1), refined

@@ -525,6 +525,20 @@ class TestExitCodes:
         assert f"{teacher}: pixel" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
 
+    def test_duplicate_camera_is_config_error(self, corpus, tmp_path, capsys):
+        """A repeated camera id would take the several-camera layout and lift one camera."""
+        root = tmp_path / "data"
+        shutil.copytree(corpus, root)
+        probs = root / "sequences" / "00" / "probs_2d"
+        shutil.copytree(probs, tmp_path / "cam2")
+        shutil.move(tmp_path / "cam2", probs / "cam2")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"cameras": [2, 2]}))
+        out = tmp_path / "out"
+        assert run(["lift", "--config", cfg, "--dataset-root", root, "--output-root", out]) == 2
+        assert "cameras" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_two(self, corpus, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text('{"no_such_key": 1}')
@@ -641,6 +655,18 @@ class TestExitCodes:
         assert run(["threshold", "--output-root", out, "--class-map", corpus / "class_map.csv",
                     "--mode", "static", "--tau", "0.5"]) == 1
         assert str(conf_path) in capsys.readouterr().err
+
+    def test_threshold_names_a_short_label_file_and_both_counts(self, corpus, piped, tmp_path,
+                                                                capsys):
+        out = tmp_path / "out"
+        shutil.copytree(piped, out)
+        seq = out / "sequences" / "00"
+        label = seq / "refined_labels" / "000001.label"
+        n = len(io.read_labels(label))
+        label.write_bytes(label.read_bytes()[:4 * (n // 2)])
+        assert run(["threshold", "--output-root", out, "--class-map", corpus / "class_map.csv"]) == 1
+        conf = seq / "confidences" / "000001.ptns"
+        assert f"{label}: {n // 2} labels, but {n} in {conf}" in capsys.readouterr().err
 
     def test_threshold_checks_every_confidence_file_before_any_write(self, corpus, tmp_path,
                                                                       capsys):

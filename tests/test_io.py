@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from seglift import io
-from seglift.core import CalibrationRig, ClassMap
+from seglift.core import CalibrationRig, ClassMap, PointCloud
 from seglift.errors import (
     BadMagic,
     DimMismatch,
@@ -75,6 +75,28 @@ class TestCloudBin:
             warnings.simplefilter("error")
             with pytest.raises(ParseError):
                 io.read_cloud_bin(path)
+
+    def test_columns_are_the_float32_values_bit_for_bit(self, tmp_path):
+        f32 = np.finfo(np.float32)
+        sub = float(f32.smallest_subnormal)
+        quads = np.array([[-0.0, sub, -sub, 0.0],
+                          [f32.max, -f32.max, 1e-40, sub],
+                          [-1e-40, 1.5, -2.25, 1.0],
+                          [0.0, -0.0, 0.0, -0.0]], dtype="<f4")
+        path = tmp_path / "edge.bin"
+        path.write_bytes(quads.tobytes())
+        cloud = io.read_cloud_bin(path)
+        want = np.frombuffer(path.read_bytes(), dtype="<f4").reshape(-1, 4).astype(np.float64)
+        assert cloud.xyz.dtype == cloud.intensity.dtype == np.float64
+        assert cloud.xyz.tobytes() == np.ascontiguousarray(want[:, :3]).tobytes()
+        assert cloud.intensity.tobytes() == np.ascontiguousarray(want[:, 3]).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_from_array_shares_no_memory_with_its_input(self, dtype):
+        arr = np.random.default_rng(3).uniform(0, 1, (9, 4)).astype(dtype)
+        cloud = PointCloud.from_array(arr)
+        assert not np.shares_memory(cloud.xyz, arr)
+        assert not np.shares_memory(cloud.intensity, arr)
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):

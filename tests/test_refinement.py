@@ -22,6 +22,7 @@ from oracles import (
 from seglift.core import PointCloud
 from seglift.errors import BadK, DimMismatch, EmptyInput
 from seglift.refinement import (
+    _AVG_BLOCK,
     _votes,
     build_tree,
     graph_distances,
@@ -237,6 +238,23 @@ class TestRefineConfidenceAvg:
         _, refined = refine_confidence_avg(probs, graph(random_cloud(200, 7), 9)[0])
         np.testing.assert_allclose(refined.sum(axis=1), 1.0, atol=1e-5)
         assert refined.min() >= 0.0 and refined.max() <= 1.0
+
+    @pytest.mark.parametrize("graph_dtype", [np.uint32, np.int64])
+    @pytest.mark.parametrize("row_dtype", [np.float32, np.float64])
+    def test_blocked_average_bit_equal_to_oracle(self, row_dtype, graph_dtype):
+        """Several full blocks and a partial one; -0.0 entries sum from +0.0, as the oracle's do."""
+        m = 2 * _AVG_BLOCK + 37
+        rng = np.random.default_rng(21)
+        probs = random_probs(m, 6, 21).astype(row_dtype)
+        probs[rng.random((m, 6)) < 0.05] = -0.0
+        probs[:, 5] = -0.0
+        idx = rng.integers(0, m, (m, 19)).astype(graph_dtype)
+        idx[:, 0] = np.arange(m)
+        labels, refined = refine_confidence_avg(probs, idx)
+        blabels, brefined = confidence_avg_brute(probs, idx)
+        np.testing.assert_array_equal(labels, blabels)
+        assert refined.dtype == np.float64
+        assert refined.tobytes() == brefined.tobytes()
 
 
 class TestOracleEquivalence:
