@@ -32,7 +32,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-# What only some commands use (soup, tta, synthetic, json, shlex, hashlib, the
+# What only some commands use (soup, tta, synthetic, json, shlex, blake2b, the
 # pool) is imported where they run; bench/spans.py patches the names below.
 from . import io
 from .config import REFINEMENT_SCHEMES, PipelineConfig, read_config
@@ -226,9 +226,12 @@ def _neighborhood(scan: Scan, points: np.ndarray, k: int, include_self: bool) ->
     the points, stores the graph and prunes the older ones; a hit imports
     no scipy.  Either way the votes get the stored uint32 (M, k) file, checked.
     """
-    import hashlib  # only refinement needs it; it costs every command ~6 ms to import
+    try:  # hashlib's own blake2b; `import hashlib` also loads OpenSSL's `_hashlib` (~2.6 ms)
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
 
-    key = hashlib.blake2b(KNN_FORMAT, digest_size=8)
+    key = blake2b(KNN_FORMAT, digest_size=8)
     key.update(points)  # the contiguous buffer itself, without a copy
     key.update(f"k={k},include_self={include_self}".encode())
     path = scan.out / D_KNN / scan.stem / f"{key.hexdigest()}.ptns"

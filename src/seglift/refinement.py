@@ -20,9 +20,9 @@ winning class per point; the graph may come from `KdTree.neighbors` or
 from storage, and `graph_distances` rebuilds a stored graph's distances
 with the search's own expression, so they are bit-equal.
 
-Votes are summed by one `np.bincount` over the row-major (M, K) neighbor
-layout, so each (point, class) bin adds in neighbor order and its float
-sum is reproducible against a direct per-point reimplementation.
+Votes are summed by one `np.bincount` per block of row-major (rows, K)
+neighbors, so each (point, class) bin adds in neighbor order and its
+float sum is reproducible against a direct per-point reimplementation.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ TIE_BREAKS = ("lowest", "keep")
 # of c coincident points would otherwise gather c x 2c candidates together.
 _CHUNK_CANDIDATES = 1 << 19
 
-_AVG_BLOCK = 2048  # rows that refine_confidence_avg sums at once
+_BLOCK = 2048  # graph rows that the votes and graph_distances handle at once
 
 # numpy submodules that scipy's array-API shim imports, by listing numpy,
 # while the kd-tree loads, and that nothing then uses; `_ckdtree` defers
@@ -100,7 +100,7 @@ class KdTree:
         m = len(self)
         _, raw = self._kd.query(self.points[rows], k=kq)
         raw = raw.reshape(rows.size, kq)
-        rd2 = _squared_distances(self.points, raw, rows)
+        rd2 = _squared_distances(np.ascontiguousarray(self.points.T), raw, rows)
         # A probe whose d2 strictly increases and that leads with the query
         # is already in contract order; re-sort only the others.
         resort = (rd2[:, 1:] <= rd2[:, :-1]).any(axis=1) | (raw[:, 0] != rows)
@@ -118,14 +118,15 @@ class KdTree:
         return rows[~done]
 
 
-def _squared_distances(points: np.ndarray, idx: np.ndarray, rows) -> np.ndarray:
-    """Squared distances from `points[rows]` to their candidates `points[idx]`.
+def _squared_distances(cols: np.ndarray, idx: np.ndarray, rows, out=None) -> np.ndarray:
+    """Squared distances from points `rows` to their candidates `idx`, into
+    `out` if given; `cols` is the points' contiguous (3, M) transpose.
 
     Summed as (dx² + dy²) + dz² over contiguous coordinate columns: the
     order of numpy's sum over an (..., 3) axis, which the oracles use.
     """
-    x, y, z = (np.ascontiguousarray(points[:, axis]) for axis in range(3))
-    d2 = (x[idx] - x[rows, None]) ** 2
+    x, y, z = cols
+    d2 = np.square(x[idx] - x[rows, None], out=out)
     d2 += (y[idx] - y[rows, None]) ** 2
     d2 += (z[idx] - z[rows, None]) ** 2
     return d2
@@ -133,7 +134,11 @@ def _squared_distances(points: np.ndarray, idx: np.ndarray, rows) -> np.ndarray:
 
 def graph_distances(points: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Distances along a stored (M, k) graph, bit-equal to those `KdTree.neighbors` returns."""
-    return np.sqrt(_squared_distances(points, idx, slice(None)))
+    cols, out = np.ascontiguousarray(points.T), np.empty(idx.shape)
+    for lo in range(0, len(idx), _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        _squared_distances(cols, idx[rows], rows, out[rows])
+    return np.sqrt(out, out=out)
 
 
 class _DeferredModule(ModuleType):
@@ -191,13 +196,13 @@ def build_tree(points: np.ndarray) -> KdTree:
 
 
 def _graph_rows(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """`rows` as float64, once its shape fits the (M, k) graph `idx` and k is odd."""
+    """`rows` as an array, once its shape fits the (M, k) graph `idx` and k is odd."""
     rows = np.asarray(rows)
     if idx.ndim != 2 or rows.ndim != 2 or rows.shape[0] != idx.shape[0]:
         raise DimMismatch(f"rows {rows.shape} and graph {idx.shape} must be (M, C) and (M, k)")
     if idx.shape[1] % 2 == 0:
         raise BadK(f"k must be odd, got {idx.shape[1]}")
-    return rows.astype(np.float64, copy=False)
+    return rows
 
 
 def _votes(neighbor_labels: np.ndarray, c: int, weights=None) -> np.ndarray:
@@ -235,15 +240,28 @@ def refine_distance_weighted(rows: np.ndarray, idx: np.ndarray, dist: np.ndarray
     majority voting.  Ties resolve to the lowest class id.
     """
     sub = _graph_rows(rows, idx)
+    if dist.shape != idx.shape:
+        raise DimMismatch(f"distances {dist.shape} must have the shape of graph {idx.shape}")
     labels = np.argmax(sub, axis=1)
-    e = np.exp(dist - dist.max(axis=1, keepdims=True))
-    weights = 1.0 - e / e.sum(axis=1, keepdims=True)
-    neighbor_labels = labels[idx]
-    acc = _votes(neighbor_labels, sub.shape[1], weights)
-    # Only classes that received a vote compete; at k=1 every weight is
-    # zero, which must still return the self label, not class 0.
-    acc[_votes(neighbor_labels, sub.shape[1]) == 0] = -np.inf
-    return acc.argmax(axis=1)
+    m, c = sub.shape
+    offsets = np.arange(0, min(m, _BLOCK) * c, c)[:, None]  # each row's first bin
+    winners = np.empty(m, dtype=np.intp)
+    # Blocks keep the weights and bins small; no row's arithmetic or bin order depends on them.
+    for lo in range(0, m, _BLOCK):
+        d = dist[lo:lo + _BLOCK]
+        w = np.subtract(d, d.max(axis=1, keepdims=True), dtype=np.result_type(d, 0.0))
+        np.exp(w, out=w)
+        w /= w.sum(axis=1, keepdims=True)
+        np.subtract(1.0, w, out=w)
+        bins = labels.take(idx[lo:lo + _BLOCK])
+        bins += offsets[:len(d)]
+        bins, n = bins.ravel(), len(d) * c
+        acc = np.bincount(bins, w.ravel(), minlength=n).reshape(-1, c)
+        # Only classes that received a vote compete; at k=1 every weight is
+        # zero, which must still return the self label, not class 0.
+        acc[np.bincount(bins, minlength=n).reshape(-1, c) == 0] = -np.inf
+        winners[lo:lo + _BLOCK] = acc.argmax(axis=1)
+    return winners
 
 
 def refine_confidence_avg(rows: np.ndarray, idx: np.ndarray):
@@ -253,12 +271,12 @@ def refine_confidence_avg(rows: np.ndarray, idx: np.ndarray):
     lowest class id) and the (M, C) float64 averaged rows.  Averaging
     normalized rows keeps the output normalized.
     """
-    sub = _graph_rows(rows, idx)
+    sub = _graph_rows(rows, idx).astype(np.float64, copy=False)
     refined = np.zeros_like(sub)
     # Blocks keep each rank's gathered rows small; sums still add in rank order.
-    for lo in range(0, len(sub), _AVG_BLOCK):
-        out = refined[lo:lo + _AVG_BLOCK]
-        for col in idx[lo:lo + _AVG_BLOCK].T.astype(np.intp, order="C"):
+    for lo in range(0, len(sub), _BLOCK):
+        out = refined[lo:lo + _BLOCK]
+        for col in idx[lo:lo + _BLOCK].T.astype(np.intp, order="C"):
             out += sub.take(col, axis=0)
     refined /= idx.shape[1]
     return refined.argmax(axis=1), refined

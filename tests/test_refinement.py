@@ -22,7 +22,7 @@ from oracles import (
 from seglift.core import PointCloud
 from seglift.errors import BadK, DimMismatch, EmptyInput
 from seglift.refinement import (
-    _AVG_BLOCK,
+    _BLOCK,
     _votes,
     build_tree,
     graph_distances,
@@ -211,6 +211,38 @@ class TestRefineDistanceWeighted:
         labels = refine_distance_weighted(probs, *graph(random_cloud(50, 4), 1))
         np.testing.assert_array_equal(labels, probs.argmax(axis=1))
 
+    @pytest.mark.parametrize("shape", [(9, 3), (11, 3), (10, 1), (10, 5)],
+                             ids=["fewer-rows", "more-rows", "fewer-columns", "more-columns"])
+    def test_distances_that_do_not_fit_the_graph_rejected(self, shape):
+        idx, _ = graph(random_cloud(10, 8), 3)
+        with pytest.raises(DimMismatch, match=rf"\({shape[0]}, {shape[1]}\).*\(10, 3\)"):
+            refine_distance_weighted(random_probs(10, 4, 8), idx, np.ones(shape))
+
+    def test_integer_distances_equal_the_oracle(self):
+        probs = random_probs(40, 3, 10)
+        idx, _ = graph(random_cloud(40, 10), 5)
+        dist = np.random.default_rng(10).integers(0, 4, (40, 5))
+        np.testing.assert_array_equal(refine_distance_weighted(probs, idx, dist),
+                                      distance_weighted_brute(probs, idx, dist))
+
+    @pytest.mark.parametrize("k", [1, 19])
+    @pytest.mark.parametrize("graph_dtype", [np.uint32, np.int64])
+    @pytest.mark.parametrize("row_dtype", [np.float32, np.float64])
+    def test_blocked_votes_equal_the_oracle(self, row_dtype, graph_dtype, k):
+        """Two full blocks and a partial one.  Half-step distances make equal
+        weights, and so tied class sums, common; every 7th row has all its
+        distances equal; at k=1 every weight is zero."""
+        m = 2 * _BLOCK + 37
+        rng = np.random.default_rng(22)
+        probs = random_probs(m, 3, 22).astype(row_dtype)
+        idx = rng.integers(0, m, (m, k)).astype(graph_dtype)
+        idx[:, 0] = np.arange(m)
+        dist = np.sort(rng.integers(0, 3, (m, k)), axis=1) * 0.5
+        dist[:, 0] = 0.0
+        dist[::7] = 1.5
+        np.testing.assert_array_equal(refine_distance_weighted(probs, idx, dist),
+                                      distance_weighted_brute(probs, idx, dist))
+
 
 class TestRefineConfidenceAvg:
     def test_identical_rows_are_preserved(self):
@@ -243,7 +275,7 @@ class TestRefineConfidenceAvg:
     @pytest.mark.parametrize("row_dtype", [np.float32, np.float64])
     def test_blocked_average_bit_equal_to_oracle(self, row_dtype, graph_dtype):
         """Several full blocks and a partial one; -0.0 entries sum from +0.0, as the oracle's do."""
-        m = 2 * _AVG_BLOCK + 37
+        m = 2 * _BLOCK + 37
         rng = np.random.default_rng(21)
         probs = random_probs(m, 6, 21).astype(row_dtype)
         probs[rng.random((m, 6)) < 0.05] = -0.0
@@ -400,6 +432,35 @@ def test_stored_graph_distances_bit_equal_to_search(query, spacing, offset):
     np.testing.assert_array_equal(graph_distances(tree.points, idx.astype(np.uint32)), dist)
 
 
+@pytest.mark.parametrize("k", [1, 19])
+@pytest.mark.parametrize("graph_dtype", [np.uint32, np.int64])
+def test_blocked_graph_distances_bit_equal_to_search(graph_dtype, k):
+    """Two full blocks and a partial one, on a shifted grid: duplicate points
+    and equal distances are common."""
+    xyz = np.random.default_rng(24).integers(0, 16, (2 * _BLOCK + 37, 3)) * 0.3 + 1e3 / 7
+    tree = build_tree(xyz)
+    idx, dist = tree.neighbors(k)
+    assert graph_distances(tree.points, idx.astype(graph_dtype)).tobytes() == dist.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["majority", "distance_weighted", "confidence_avg",
+                                    "graph_distances"])
+def test_out_of_range_graph_index_raises(scheme):
+    """An index past the rows, in the last partial block, is never read as another row."""
+    m = _BLOCK + 5
+    idx = np.zeros((m, 3), dtype=np.uint32)
+    idx[-1, 2] = m
+    calls = {
+        "majority": lambda: refine_majority(random_probs(m, 3, 9), idx),
+        "distance_weighted": lambda: refine_distance_weighted(random_probs(m, 3, 9), idx,
+                                                              np.zeros((m, 3))),
+        "confidence_avg": lambda: refine_confidence_avg(random_probs(m, 3, 9), idx),
+        "graph_distances": lambda: graph_distances(np.zeros((m, 3)), idx),
+    }
+    with pytest.raises(IndexError):
+        calls[scheme]()
+
+
 @pytest.mark.parametrize("include_self", [True, False])
 def test_every_scheme_refines_a_stored_graph_like_its_tree(include_self):
     """A graph as stored (uint32, distances rebuilt) refines like the search's (int64) graph."""
@@ -452,6 +513,23 @@ def test_coincident_group_search_memory_is_bounded():
     for row in (0, 1000, 1999):
         np.testing.assert_array_equal(idx[row], [row] + [j for j in range(19) if j != row][:18])
         assert not dist[row].any()
+
+
+def test_distance_weighted_memory_is_bounded():
+    """Eight blocks of a (M, 19) stored graph over 20 classes: the votes' traced
+    peak stays below the size of one (M, k) float64 array."""
+    m, k = 8 * _BLOCK, 19
+    rng = np.random.default_rng(25)
+    probs = random_probs(m, 20, 25).astype(np.float32)
+    idx = rng.integers(0, m, (m, k)).astype(np.uint32)
+    dist = np.sort(rng.uniform(0, 5, (m, k)), axis=1)
+    tracemalloc.start()
+    try:
+        refine_distance_weighted(probs, idx, dist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m * k * 8
 
 
 @st.composite
