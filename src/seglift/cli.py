@@ -226,10 +226,8 @@ def _neighborhood(scan: Scan, points: np.ndarray, k: int, include_self: bool) ->
     the points, stores the graph and prunes the older ones; a hit imports
     no scipy.  Either way the votes get the stored uint32 (M, k) file, checked.
     """
-    try:  # hashlib's own blake2b; `import hashlib` also loads OpenSSL's `_hashlib` (~2.6 ms)
-        from _blake2 import blake2b
-    except ImportError:
-        from hashlib import blake2b
+    # hashlib's own blake2b; `import hashlib` would also load OpenSSL's `_hashlib` (~2.6 ms)
+    from _blake2 import blake2b
 
     key = blake2b(KNN_FORMAT, digest_size=8)
     key.update(points)  # the contiguous buffer itself, without a copy

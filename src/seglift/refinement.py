@@ -205,13 +205,10 @@ def _graph_rows(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _votes(neighbor_labels: np.ndarray, c: int, weights=None) -> np.ndarray:
-    """(M, c) per-row vote counts, or sums of `weights`, by neighbor label."""
-    m = neighbor_labels.shape[0]
-    bins = (np.arange(m)[:, None] * c + neighbor_labels).ravel()
-    if weights is not None:
-        weights = weights.ravel()
-    return np.bincount(bins, weights, minlength=m * c).reshape(m, c)
+def _bins(neighbor_labels: np.ndarray, c: int) -> np.ndarray:
+    """Flat bins of (rows, k) neighbor labels, made in place: row r's class j is bin r*c + j."""
+    neighbor_labels += np.arange(0, len(neighbor_labels) * c, c)[:, None]
+    return neighbor_labels.ravel()
 
 
 def refine_majority(rows: np.ndarray, idx: np.ndarray, tie_break: str = "lowest") -> np.ndarray:
@@ -224,7 +221,8 @@ def refine_majority(rows: np.ndarray, idx: np.ndarray, tie_break: str = "lowest"
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
     sub = _graph_rows(rows, idx)
     labels = np.argmax(sub, axis=1)
-    votes = _votes(labels[idx], sub.shape[1])
+    m, c = sub.shape
+    votes = np.bincount(_bins(labels[idx], c), minlength=m * c).reshape(m, c)
     winners = votes.argmax(axis=1)  # first max -> lowest class id
     if tie_break == "keep":
         top = votes.max(axis=1, keepdims=True)
@@ -244,7 +242,6 @@ def refine_distance_weighted(rows: np.ndarray, idx: np.ndarray, dist: np.ndarray
         raise DimMismatch(f"distances {dist.shape} must have the shape of graph {idx.shape}")
     labels = np.argmax(sub, axis=1)
     m, c = sub.shape
-    offsets = np.arange(0, min(m, _BLOCK) * c, c)[:, None]  # each row's first bin
     winners = np.empty(m, dtype=np.intp)
     # Blocks keep the weights and bins small; no row's arithmetic or bin order depends on them.
     for lo in range(0, m, _BLOCK):
@@ -253,9 +250,7 @@ def refine_distance_weighted(rows: np.ndarray, idx: np.ndarray, dist: np.ndarray
         np.exp(w, out=w)
         w /= w.sum(axis=1, keepdims=True)
         np.subtract(1.0, w, out=w)
-        bins = labels.take(idx[lo:lo + _BLOCK])
-        bins += offsets[:len(d)]
-        bins, n = bins.ravel(), len(d) * c
+        bins, n = _bins(labels.take(idx[lo:lo + _BLOCK]), c), len(d) * c
         acc = np.bincount(bins, w.ravel(), minlength=n).reshape(-1, c)
         # Only classes that received a vote compete; at k=1 every weight is
         # zero, which must still return the self label, not class 0.

@@ -23,7 +23,7 @@ from seglift.core import PointCloud
 from seglift.errors import BadK, DimMismatch, EmptyInput
 from seglift.refinement import (
     _BLOCK,
-    _votes,
+    _bins,
     build_tree,
     graph_distances,
     refine_confidence_avg,
@@ -376,8 +376,9 @@ def test_votes_add_each_bin_in_neighbor_order():
         for j in range(7):
             sums[row, labels[row, j]] += weights[row, j]
             counts[row, labels[row, j]] += 1
-    np.testing.assert_array_equal(_votes(labels, 4, weights), sums)
-    np.testing.assert_array_equal(_votes(labels, 4), counts)
+    bins = _bins(labels.copy(), 4)
+    np.testing.assert_array_equal(np.bincount(bins, weights.ravel(), minlength=200).reshape(50, 4), sums)
+    np.testing.assert_array_equal(np.bincount(bins, minlength=200).reshape(50, 4), counts)
 
 
 @st.composite
